@@ -70,8 +70,8 @@ class OptimizerConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be > 0")
+        if not (np.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValueError("gamma must be finite and > 0")
         if not self.eta > 0.0:
             raise ValueError("eta must be > 0")
         if self.batch_size < 1:

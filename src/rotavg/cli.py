@@ -66,10 +66,11 @@ def _parse_gen_spec(spec: str) -> GeneratorConfig:
                 raise UsageError(f"unknown gen spec key {key!r}")
             if key == "mode":
                 fields[key] = value
-            elif key == "epsilon":
-                fields[key] = float(value)
-            else:
-                fields[key] = int(value)
+                continue
+            try:
+                fields[key] = float(value) if key == "epsilon" else int(value)
+            except ValueError:
+                raise UsageError(f"bad gen spec value {key}={value!r}") from None
     return GeneratorConfig(
         n_nodes=fields["n"],
         k_neighbors=fields["k"],

@@ -151,6 +151,7 @@ class RotationEnvironment:
             self.ground_truth.setflags(write=False)
 
         self._nbr_mats = None
+        self._edge_mats = None
 
     @property
     def n_edges(self) -> int:
@@ -168,6 +169,15 @@ class RotationEnvironment:
             mats.setflags(write=False)
             self._nbr_mats = mats
         return self._nbr_mats
+
+    @property
+    def edge_mats(self) -> np.ndarray:
+        """Edge relative rotations as matrices, computed once."""
+        if self._edge_mats is None:
+            mats = rotmath.quat_to_matrix(self.edge_quats)
+            mats.setflags(write=False)
+            self._edge_mats = mats
+        return self._edge_mats
 
 
 def neighborhood_of(env: RotationEnvironment, i: int) -> list[tuple[int, np.ndarray]]:

@@ -21,6 +21,14 @@ _POLAR_TOL = 1e-12
 _POLAR_MAX_ITERS = 100
 _RANK_TOL = 1e-9
 
+# The pairwise metric forms pair traces a panel of rows at a time, turns
+# them into angles a chunk at a time, and brackets the median trace by
+# the ranks within _SAMPLE_MARGIN of the middle of a strided sample.
+_PANEL_ROWS = 128
+_CHUNK = 1 << 16
+_SAMPLE = 1 << 14
+_SAMPLE_MARGIN = 256
+
 
 class DegenerateAlignment(RuntimeError):
     """The gauge-alignment accumulator is rank deficient; S is ambiguous."""
@@ -68,13 +76,30 @@ def _angles_deg_from_traces(traces) -> np.ndarray:
     return np.degrees(np.arccos(cos))
 
 
+def _pair_traces(g: np.ndarray) -> np.ndarray:
+    """<g_i, g_j> for every pair i < j, in np.triu_indices order."""
+    n = g.shape[0]
+    out = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for i0 in range(0, n - 1, _PANEL_ROWS):
+        i1 = min(i0 + _PANEL_ROWS, n - 1)
+        # row r is node i0 + r, column c is node i0 + 1 + c
+        panel = g[i0:i1] @ g[i0 + 1:].T
+        for r in range(i1 - i0):
+            row = panel[r, r:]
+            out[pos:pos + row.size] = row
+            pos += row.size
+    return out
+
+
 def avg_pairwise_error(estimates, ground_truth) -> tuple[float, float]:
     """Mean and median, over all unordered pairs, of the angle between the
     estimated and true relative rotation of the pair.
 
     Gauge-invariant by construction: each term compares Rhat_i Rhat_j^T
     with R_i R_j^T, and a global gauge rotation cancels inside every
-    pair product.
+    pair product.  Costs O(N^2) time and holds the N(N-1)/2 pair traces
+    (8 bytes a pair) plus O(N) floats per row of a fixed-size panel.
     """
     est = _as_matrices(estimates)
     gt = np.asarray(ground_truth, dtype=float)
@@ -83,10 +108,35 @@ def avg_pairwise_error(estimates, ground_truth) -> tuple[float, float]:
         raise ValueError("ground truth shape does not match estimates")
     # G_i = Rhat_i^T R_i; pair angle ij has cos = (<G_i, G_j>_F - 1) / 2
     g = (np.swapaxes(est, -1, -2) @ gt).reshape(n, 9)
-    traces = g @ g.T
-    iu, ju = np.triu_indices(n, 1)
-    ang = _angles_deg_from_traces(traces[iu, ju])
-    return float(np.mean(ang)), float(np.median(ang))
+    traces = _pair_traces(g)
+    m = traces.size
+
+    # The angle falls as the trace grows, so the median angle is the
+    # angle of the middle trace, or the mean of the two middle ones.
+    k_lo, k_hi = (m - 1) // 2, m // 2
+    sample = np.sort(traces[::max(1, m // _SAMPLE)])
+    mid = k_lo * sample.size // m
+    lo = sample[max(mid - _SAMPLE_MARGIN, 0)]
+    hi = sample[min(mid + _SAMPLE_MARGIN, sample.size - 1)]
+
+    total, below, inside = 0.0, 0, []
+    for s in range(0, m, _CHUNK):
+        chunk = traces[s:s + _CHUNK]
+        total += float(np.sum(_angles_deg_from_traces(chunk)))
+        below += int(np.count_nonzero(chunk < lo))
+        inside.append(chunk[(chunk >= lo) & (chunk < hi)])
+    mean = total / m
+    if np.isnan(mean):  # a NaN trace fails every bracket comparison
+        return mean, mean
+
+    bracket = np.concatenate(inside)
+    if below <= k_lo and k_hi < below + bracket.size:
+        ks = [k_lo - below, k_hi - below]
+        middle = np.partition(bracket, ks)[ks]
+    else:  # the half-open bracket [lo, hi) missed a middle rank
+        ks = [k_lo, k_hi]
+        middle = np.partition(traces, ks)[ks]
+    return mean, float(np.mean(_angles_deg_from_traces(middle)))
 
 
 def relative_edge_error(estimates, env) -> tuple[float, float]:
@@ -95,7 +145,7 @@ def relative_edge_error(estimates, env) -> tuple[float, float]:
     est = _as_matrices(estimates)
     i = env.edge_index[:, 0]
     j = env.edge_index[:, 1]
-    target = rotmath.quat_to_matrix(env.edge_quats) @ est[j]
+    target = env.edge_mats @ est[j]
     traces = np.einsum("eab,eab->e", est[i], target)
     ang = _angles_deg_from_traces(traces)
     return float(np.mean(ang)), float(np.median(ang))

@@ -39,10 +39,6 @@ class SouthPoleSingularity(ValueError):
     """Raised when projecting a quaternion too close to [-1, 0, 0, 0]."""
 
 
-def quat_identity() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0, 0.0])
-
-
 def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
@@ -169,24 +165,6 @@ def matrix_to_quat(m) -> np.ndarray:
     )[0]
     q = q / np.linalg.norm(q, axis=-1, keepdims=True)
     return q * np.where(q[..., :1] < 0.0, -1.0, 1.0)
-
-
-def hat(v) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector (cross-product operator)."""
-    v = np.asarray(v, dtype=float)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    zero = np.zeros_like(x)
-    return np.stack(
-        [zero, -z, y, z, zero, -x, -y, x, zero], axis=-1
-    ).reshape(v.shape[:-1] + (3, 3))
-
-
-def vee(m) -> np.ndarray:
-    """Inverse of `hat` on the antisymmetric part of a matrix."""
-    m = np.asarray(m, dtype=float)
-    return np.stack(
-        [m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1
-    )
 
 
 def exp_so3(v) -> np.ndarray:

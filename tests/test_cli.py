@@ -92,6 +92,23 @@ class TestRun:
                      "--gamma", 0, "--out", tmp_path)
         assert rc == 1
 
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_non_finite_gamma_is_usage_error(self, tmp_path, capsys, gamma):
+        rc = run_cli("run", "--env", "gen:n=8,seed=1", "--algo", "mrp",
+                     "--gamma", gamma, "--out", tmp_path)
+        assert rc == 1
+        assert "gamma" in capsys.readouterr().err
+        assert not (tmp_path / "trace_mrp_0.csv").exists()
+
+    @pytest.mark.parametrize("field", ["n=abc", "epsilon=wide"])
+    def test_bad_gen_spec_value_is_usage_error(self, tmp_path, capsys, field):
+        rc = run_cli("run", "--env", f"gen:{field},seed=1", "--algo", "mrp",
+                     "--out", tmp_path)
+        assert rc == 1
+        key, value = field.split("=")
+        err = capsys.readouterr().err
+        assert key in err and value in err
+
 
 class TestBench:
     def test_grid_and_aggregate_recompute(self, tmp_path):

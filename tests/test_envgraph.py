@@ -159,6 +159,14 @@ class TestEnvironmentValidation:
         with pytest.raises(ValueError):
             env.edge_quats[0, 0] = 2.0
 
+    def test_edge_mats_cached_and_frozen(self):
+        env = RotationEnvironment(3, [[0, 1], [1, 2]], self.quats[:2])
+        mats = env.edge_mats
+        assert np.array_equal(mats, rotmath.quat_to_matrix(env.edge_quats))
+        assert env.edge_mats is mats
+        with pytest.raises(ValueError):
+            mats[0, 0, 0] = 2.0
+
 
 class TestCriticalEnv:
     def test_construction_identity(self, rng):

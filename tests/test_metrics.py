@@ -24,6 +24,43 @@ def record(step, ape):
     return TraceRecord(step, ape, ape, 0.0, 0.0)
 
 
+def pair_loop(est, gt):
+    """Reference pairwise error: the angle of every pair i < j, one row of
+    pairs at a time."""
+    angles = []
+    for i in range(len(est) - 1):
+        rel_est = est[i] @ np.swapaxes(est[i + 1:], 1, 2)
+        rel_gt = gt[i] @ np.swapaxes(gt[i + 1:], 1, 2)
+        tr = np.einsum("nab,nab->n", rel_est, rel_gt)
+        angles.append(np.degrees(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))))
+    ang = np.concatenate(angles)
+    return np.mean(ang), np.median(ang)
+
+
+def dense_pairwise(est, gt):
+    """Reference pairwise error from the full N x N trace matrix."""
+    n = len(est)
+    g = (np.swapaxes(est, 1, 2) @ gt).reshape(n, 9)
+    iu, ju = np.triu_indices(n, 1)
+    tr = (g @ g.T)[iu, ju]
+    ang = np.degrees(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)))
+    return np.mean(ang), np.median(ang)
+
+
+@pytest.fixture
+def partition_sizes(monkeypatch):
+    """Sizes of the arrays handed to np.partition while the fixture is live."""
+    sizes = []
+    partition = np.partition
+
+    def spy(a, kth, *args, **kwargs):
+        sizes.append(np.size(a))
+        return partition(a, kth, *args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", spy)
+    return sizes
+
+
 class TestAvgPairwiseError:
     def test_gauge_rotated_truth_is_exact(self, rng):
         gt = random_matrices(rng, 20)
@@ -54,6 +91,49 @@ class TestAvgPairwiseError:
         gt = rotmath.quat_to_matrix(quats)
         mean, _ = avg_pairwise_error(est, gt)
         assert mean < 1e-6
+
+    # 300 and 302 nodes span three row panels and give an even and an odd
+    # pair count; 2 and 3 nodes have one and three pairs
+    @pytest.mark.parametrize("n", [2, 3, 300, 302])
+    def test_matches_pair_loop(self, rng, n):
+        est = random_matrices(rng, n)
+        gt = random_matrices(rng, n)
+        want = pair_loop(est, gt)
+        assert_allclose(avg_pairwise_error(est, gt), want, rtol=0, atol=1e-9)
+
+    def test_median_selected_inside_bracket(self, rng, partition_sizes):
+        n = 302
+        avg_pairwise_error(random_matrices(rng, n), random_matrices(rng, n))
+        assert len(partition_sizes) == 1
+        assert 0 < partition_sizes[0] < n * (n - 1) // 20
+
+    @pytest.mark.parametrize("n", [100, 577, 2000])
+    def test_matches_dense_formula(self, rng, n):
+        est = random_matrices(rng, n)
+        gt = random_matrices(rng, n)
+        want = dense_pairwise(est, gt)
+        assert_allclose(avg_pairwise_error(est, gt), want, rtol=0, atol=1e-12)
+
+    def test_equal_traces_fall_back_to_whole_array(self, partition_sizes):
+        # a quarter turn and the identity have exact entries, so every
+        # pair trace is exactly 3 and the bracket around the median is empty
+        n = 200
+        quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        gt = np.tile(np.eye(3), (n, 1, 1))
+        est = gt @ quarter
+        want = pair_loop(est, gt)
+        got = avg_pairwise_error(est, gt)
+        assert partition_sizes == [n * (n - 1) // 2]
+        assert_allclose(got, want, rtol=0, atol=1e-9)
+        assert got == (0.0, 0.0)
+
+    def test_non_finite_estimate_gives_nan(self, rng):
+        est = random_matrices(rng, 300)
+        gt = random_matrices(rng, 300)
+        est[7, 1, 2] = np.nan
+        mean, median = avg_pairwise_error(est, gt)
+        assert np.isnan(mean) and np.isnan(median)
+        assert all(np.isnan(pair_loop(est, gt)))
 
 
 class TestRelativeEdgeError:
