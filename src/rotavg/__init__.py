@@ -2,7 +2,7 @@
 supervision: projective (MRP), SO(3), and quaternion algorithms with a
 benchmark harness."""
 
-from . import averaging, cli, envgraph, io, metrics, rotmath
+from . import averaging, envgraph, io, metrics, rotmath
 from .averaging import (
     EstimateSet,
     OptimizerConfig,
@@ -12,6 +12,7 @@ from .averaging import (
     mrp_step,
     quaternion_step,
     run_averaging,
+    run_ensemble,
     so3_step,
     target_quaternion,
 )

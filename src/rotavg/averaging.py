@@ -21,12 +21,13 @@ full strength, clamping each pair gradient to eta and scaling by gamma,
 since the clamp bounds per-update motion in the distorted projective
 space and its calibration is per sample.  At batch_size 1 all three
 reduce to the plain per-sample algorithms.  Runs are deterministic given
-the config seed.
+the config seed.  ``run_ensemble`` steps several runs as one array
+program; each member's estimates and trace equal those of its lone run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -176,6 +177,21 @@ def target_quaternion(q_ij, qhat_j) -> np.ndarray:
     return rotmath.quat_mul(q_ij, qhat_j)
 
 
+def _so3_pair_grads(r_i, r_j, rel):
+    """Per-pair so3 loss |r|^2 and displacement r = log(R_i^T R(q_i_j) R_j),
+    the tangent vector at R_i toward the pair target."""
+    r = rotmath.log_so3(np.swapaxes(r_i, -1, -2) @ rel @ r_j)
+    return np.sum(r * r, axis=-1), r
+
+
+def _quaternion_pair_grads(q_i, q_j, q_ij):
+    """Per-pair loss 1 - <q_i, t>^2 and its R^4 gradient -2 <q_i, t> t,
+    where t = q_i_j x q_j."""
+    q_t = rotmath.quat_mul(q_ij, q_j)
+    dot = np.sum(q_i * q_t, axis=-1)
+    return 1.0 - dot * dot, (-2.0 * dot)[..., None] * q_t
+
+
 def _mrp_pair_grads(psi_i, psi_j, q_ij):
     """Vectorized per-pair MRP loss/gradient with antipode selection.
 
@@ -216,10 +232,64 @@ def mrp_loss_and_grad(psi_i, psi_j, q_ij):
     return float(loss), grad, int(sign)
 
 
+def _join(arrays):
+    """The arrays concatenated, or the one array itself (no copy)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+class _JoinedGraph:
+    """Disjoint union of several runs' neighborhood graphs.
+
+    Member r owns nodes start_r .. start_r + N_r - 1 of the joint
+    estimates.  The neighbor arrays mirror the RotationEnvironment ones
+    the step functions read, but hold each distinct environment once,
+    with its node ids kept local: members on one environment share its
+    arrays, and a single shared environment is not copied at all.
+    """
+
+    def __init__(self, envs, batch_size: int):
+        self._distinct = list({id(env): env for env in envs}.values())
+        rows = np.cumsum([0] + [env.n_nodes for env in self._distinct[:-1]])
+        row_of = {id(env): row for env, row in zip(self._distinct, rows)}
+        self.sizes = [env.n_nodes for env in envs]
+        starts = np.cumsum([0] + self.sizes[:-1])
+        self.n_nodes = sum(self.sizes)
+        self.nbr_ids = _join([env.nbr_ids for env in self._distinct])
+        self.nbr_quats = _join([env.nbr_quats for env in self._distinct])
+        self.nbr_counts = _join([env.nbr_counts for env in self._distinct])
+        self.nbr_offsets = np.concatenate([[0], np.cumsum(self.nbr_counts)])
+        # per slot of a joined batch: the member's first node in the joint
+        # estimates, and its environment's first row in the arrays above
+        self.batch_starts = np.repeat(starts, batch_size)
+        self.batch_rows = np.repeat([row_of[id(env)] for env in envs], batch_size)
+        self._nbr_mats = None
+
+    @property
+    def nbr_mats(self) -> np.ndarray:
+        if self._nbr_mats is None:
+            self._nbr_mats = _join([env.nbr_mats for env in self._distinct])
+        return self._nbr_mats
+
+
 def _sample_batch(env, batch_size, rng):
-    """Distinct nodes plus one uniform neighbor slot each."""
+    """Distinct nodes plus one uniform neighbor slot each.
+
+    On a joined graph ``rng`` holds one generator per member, and each
+    member draws permutation(N_r)[:batch_size] and then
+    random(batch_size): exactly the draws of a lone run on it.
+    """
+    if isinstance(env, _JoinedGraph):
+        local = np.concatenate(
+            [g.permutation(n)[:batch_size] for g, n in zip(rng, env.sizes)]
+        )
+        u = np.concatenate([g.random(batch_size) for g in rng])
+        rows = local + env.batch_rows
+        slot = (u * env.nbr_counts[rows]).astype(np.int64)
+        sel = env.nbr_offsets[rows] + slot
+        return local + env.batch_starts, env.nbr_ids[sel] + env.batch_starts, sel
     idx = rng.permutation(env.n_nodes)[:batch_size]
-    slot = (rng.random(batch_size) * env.nbr_counts[idx]).astype(np.int64)
+    u = rng.random(batch_size)
+    slot = (u * env.nbr_counts[idx]).astype(np.int64)
     sel = env.nbr_offsets[idx] + slot
     return idx, env.nbr_ids[sel], sel
 
@@ -260,16 +330,12 @@ def so3_step(estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> StepRepo
     idx, j, sel = _sample_batch(env, cfg.batch_size, rng)
     mats = estimates.values
     r_i = mats[idx]
-    r_j = mats[j]
-    rel = env.nbr_mats[sel]
-    r_delta = rotmath.log_so3(np.swapaxes(r_i, -1, -2) @ rel @ r_j)
+    loss, r_delta = _so3_pair_grads(r_i, mats[j], env.nbr_mats[sel])
     applied = (cfg.gamma / cfg.batch_size) * r_delta
 
     mats[idx] = r_i @ rotmath.exp_so3(applied)
     return StepReport(
-        pairs=np.stack([idx, j], axis=1),
-        losses=np.sum(r_delta * r_delta, axis=-1),
-        updates=applied,
+        pairs=np.stack([idx, j], axis=1), losses=loss, updates=applied
     )
 
 
@@ -280,16 +346,12 @@ def quaternion_step(estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> S
     idx, j, sel = _sample_batch(env, cfg.batch_size, rng)
     quats = estimates.values
     q_i = quats[idx]
-    q_t = rotmath.quat_mul(env.nbr_quats[sel], quats[j])
-    dot = np.sum(q_i * q_t, axis=-1)
-    grad = (-2.0 * dot)[:, None] * q_t
+    loss, grad = _quaternion_pair_grads(q_i, quats[j], env.nbr_quats[sel])
     applied = (-cfg.gamma / cfg.batch_size) * grad
 
     quats[idx] = rotmath.quat_normalize(q_i + applied)
     return StepReport(
-        pairs=np.stack([idx, j], axis=1),
-        losses=1.0 - dot * dot,
-        updates=applied,
+        pairs=np.stack([idx, j], axis=1), losses=loss, updates=applied
     )
 
 
@@ -317,27 +379,77 @@ def initial_estimates(env, cfg: OptimizerConfig, rng=None) -> EstimateSet:
     return EstimateSet.from_quaternions(quats, param)
 
 
-def run_averaging(env, cfg: OptimizerConfig):
-    """Run one optimization: init, max_iters batch steps, periodic metrics.
-
-    Returns (final EstimateSet, trace).  The trace holds a TraceRecord at
-    step 0, at every checkpoint_every steps, and at the final step.
-    """
+def check_run(env, cfg: OptimizerConfig) -> None:
+    """Raise ValueError unless cfg is valid and its batch fits env."""
     cfg.validate()
     if cfg.batch_size > env.n_nodes:
         raise ValueError(
             f"batch_size {cfg.batch_size} exceeds node count {env.n_nodes}"
         )
-    rng = np.random.default_rng([cfg.seed, _RUN_STREAM])
-    estimates = initial_estimates(env, cfg, rng)
 
-    step_fn = STEP_FUNCTIONS[cfg.algorithm]
-    trace = [metrics.evaluate(estimates, env, 0)]
-    for t in range(1, cfg.max_iters + 1):
-        step_fn(estimates, env, cfg, rng)
-        if t % cfg.checkpoint_every == 0 or t == cfg.max_iters:
-            trace.append(metrics.evaluate(estimates, env, t))
-    return estimates, trace
+
+def run_ensemble(envs, cfgs):
+    """Run several optimizations as one array program.
+
+    The members share the algorithm and every OptimizerConfig field but
+    the seed; their environments, and node counts, may differ.  Their
+    estimates live in one joint array over the disjoint union of their
+    graphs.  Each step, every member draws its batch from its own run
+    stream exactly as a lone run does, and one step call updates all
+    members' pairs, so each member ends with the estimates and trace
+    that run_averaging(env, cfg) gives alone.  Returns one
+    (EstimateSet, trace) per member, in order.  An exception while
+    stepping ends every member.
+    """
+    envs, cfgs = list(envs), list(cfgs)
+    if not envs or len(envs) != len(cfgs):
+        raise ValueError("run_ensemble needs one config per environment")
+    base = cfgs[0]
+    for env, cfg in zip(envs, cfgs):
+        check_run(env, cfg)
+        if replace(cfg, seed=base.seed) != base:
+            raise ValueError("ensemble members may differ only in their seed")
+
+    rngs = [np.random.default_rng([cfg.seed, _RUN_STREAM]) for cfg in cfgs]
+    members = [
+        initial_estimates(env, cfg, rng) for env, cfg, rng in zip(envs, cfgs, rngs)
+    ]
+    if len(members) == 1:
+        graph, rng, joint = envs[0], rngs[0], members[0]
+    else:
+        graph, rng = _JoinedGraph(envs, base.batch_size), rngs
+        joint = EstimateSet(
+            members[0].parameterization,
+            np.concatenate([m.values for m in members]),
+        )
+        # each member's estimates become its slice of the joint array
+        stop = 0
+        for m in members:
+            stop += m.n_nodes
+            m.values = joint.values[stop - m.n_nodes:stop]
+
+    step_fn = STEP_FUNCTIONS[base.algorithm]
+    traces = [[metrics.evaluate(m, env, 0)] for m, env in zip(members, envs)]
+    for t in range(1, base.max_iters + 1):
+        step_fn(joint, graph, base, rng)
+        if t % base.checkpoint_every == 0 or t == base.max_iters:
+            for m, env, trace in zip(members, envs, traces):
+                trace.append(metrics.evaluate(m, env, t))
+    return list(zip(members, traces))
+
+
+def run_averaging(env, cfg):
+    """Run one optimization: init, max_iters batch steps, periodic metrics.
+
+    Returns (final EstimateSet, trace).  The trace holds a TraceRecord at
+    step 0, at every checkpoint_every steps, and at the final step.
+    Given equal-length sequences of environments and configs instead, it
+    runs them as one ensemble (see run_ensemble) and returns the list of
+    their results, so one call is one optimization loop either way.
+    """
+    if isinstance(cfg, OptimizerConfig):
+        return run_ensemble([env], [cfg])[0]
+    return run_ensemble(env, cfg)
 
 
 def expected_update(estimates: EstimateSet, env, i: int, algorithm: str) -> np.ndarray:
@@ -359,15 +471,13 @@ def expected_update(estimates: EstimateSet, env, i: int, algorithm: str) -> np.n
     if algorithm == "so3":
         mats = estimates.values if estimates.parameterization == "so3_matrix" \
             else estimates.to_matrices()
-        rel = rotmath.quat_to_matrix(q_ij)
-        r = rotmath.log_so3(np.swapaxes(mats[i], -1, -2)[None] @ rel @ mats[js])
+        _, r = _so3_pair_grads(mats[i][None], mats[js], rotmath.quat_to_matrix(q_ij))
         return r.mean(axis=0)
     if algorithm == "quaternion":
         quats = estimates.values if estimates.parameterization == "quaternion" \
             else estimates.to_quaternions()
-        q_t = rotmath.quat_mul(q_ij, quats[js])
-        dot = np.sum(quats[i][None] * q_t, axis=-1)
-        return ((-2.0 * dot)[:, None] * q_t).mean(axis=0)
+        _, grad = _quaternion_pair_grads(quats[i][None], quats[js], q_ij)
+        return grad.mean(axis=0)
     psi = estimates.values if estimates.parameterization == "mrp" \
         else estimates.reparameterize("mrp").values
     _, grad, _ = _mrp_pair_grads(psi[i][None], psi[js], q_ij)

@@ -14,13 +14,14 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io as envio
 from . import metrics
-from .averaging import OptimizerConfig, run_averaging
+from .averaging import OptimizerConfig, check_run, run_averaging
 from .envgraph import ConnectivityFailure, GeneratorConfig, generate_uniform_env
 
 EXIT_OK = 0
@@ -197,18 +198,32 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _bench_cell(env_source, stem, algo_token, seed, params, out_dir):
-    """One benchmark grid cell; runs in a worker process."""
-    params = dict(params)
-    params["seed"] = seed
-    cfg = _build_config(algo_token, params)
-    env = _load_env_source(env_source)
-    cell_dir = Path(out_dir) / stem
-    os.makedirs(cell_dir, exist_ok=True)
+def _failure_message(exc) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
-    _, trace = run_averaging(env, cfg)
-    envio.export_trace(trace, cell_dir / f"trace_{algo_token}_{seed}.csv")
-    return _summary_row(env_source, algo_token, cfg, trace)
+
+def _bench_ensemble(algo_token, envs, cfgs, sources, cell_dirs):
+    """Run grid cells of one algorithm as one ensemble, write their
+    traces, and return their summary rows.
+
+    The ensemble goes through run_averaging, as ``rotavg run`` does, so
+    every optimization loop of the CLI is one call of that name (the
+    traced benchmark run counts and times loops there).
+    """
+    rows = []
+    results = run_averaging(envs, cfgs)
+    for (_, trace), cfg, source, cell_dir in zip(results, cfgs, sources, cell_dirs):
+        envio.export_trace(trace, Path(cell_dir) / f"trace_{algo_token}_{cfg.seed}.csv")
+        rows.append(_summary_row(source, algo_token, cfg, trace))
+    return rows
+
+
+def _ensemble_outcome(task):
+    """(rows, None) from one ensemble, or (None, message) when it raised."""
+    try:
+        return _bench_ensemble(*task), None
+    except Exception as exc:  # every cell of the ensemble fails; the grid goes on
+        return None, _failure_message(exc)
 
 
 def _unique_stems(envs):
@@ -346,6 +361,101 @@ def _write_aggregate(rows, max_iters, out_dir) -> None:
     print(text, end="")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+# bench plan keys: a check of the JSON value and what it should be
+_PLAN_FIELDS = {
+    "envs": (_is_list_of(lambda v: isinstance(v, str)), "a list of strings"),
+    "algos": (_is_list_of(lambda v: isinstance(v, str)), "a list of strings"),
+    "seeds": (_is_list_of(_is_int), "a list of integers"),
+    "out": (lambda v: isinstance(v, str), "a string"),
+    "gamma": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "eta": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "batch": (_is_int, "an integer"),
+    "iters": (_is_int, "an integer"),
+    "checkpoint_every": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "init": (lambda v: v in ("haar", "identity"), "'haar' or 'identity'"),
+}
+
+
+def _load_plan(path) -> dict:
+    """A bench plan file, with every key and value checked."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            plan = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"plan {path} is not valid JSON: {exc}") from None
+    if not isinstance(plan, dict):
+        raise UsageError(f"plan {path} is not a JSON object")
+    for key, value in plan.items():
+        if key not in _PLAN_FIELDS:
+            raise UsageError(f"unknown plan key {key!r} (value {value!r})")
+        check, want = _PLAN_FIELDS[key]
+        if not check(value):
+            raise UsageError(f"plan key {key!r} has bad value {value!r} (want {want})")
+    return plan
+
+
+def _run_grid(cells, configs, jobs, stems, out_dir):
+    """Summary rows and failure messages of bench grid cells, by cell.
+
+    Each environment is loaded once.  A failure found before stepping
+    (loading, a batch larger than the node count) fails only its own
+    cells; each algorithm's other cells run as at most ``jobs``
+    ensembles, in worker processes when jobs > 1.
+    """
+    failures = {}
+    loaded = {}
+    for source in dict.fromkeys(source for source, _, _ in cells):
+        try:
+            loaded[source] = _load_env_source(source)
+        except Exception as exc:  # record and continue the grid
+            failures.update((c, _failure_message(exc)) for c in cells if c[0] == source)
+            continue
+        os.makedirs(Path(out_dir) / stems[source], exist_ok=True)
+    groups = {algo: [] for algo in configs}
+    for cell in cells:
+        source, algo, seed = cell
+        if source not in loaded:
+            continue
+        cfg = replace(configs[algo], seed=seed)
+        try:
+            check_run(loaded[source], cfg)
+        except ValueError as exc:
+            failures[cell] = _failure_message(exc)
+            continue
+        groups[algo].append((cell, cfg))
+
+    task_cells, tasks = [], []
+    for algo, group in groups.items():
+        n = min(jobs, len(group))
+        for k in range(n):
+            part = group[k * len(group) // n:(k + 1) * len(group) // n]
+            sources = [cell[0] for cell, _ in part]
+            task_cells.append([cell for cell, _ in part])
+            tasks.append((algo, [loaded[s] for s in sources], [cfg for _, cfg in part],
+                          sources, [Path(out_dir) / stems[s] for s in sources]))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_ensemble_outcome, tasks))
+    else:
+        outcomes = list(map(_ensemble_outcome, tasks))
+    results = {}
+    for part_cells, (rows, error) in zip(task_cells, outcomes):
+        if error is None:
+            results.update(zip(part_cells, rows))
+        else:
+            failures.update(dict.fromkeys(part_cells, error))
+
+    return results, failures
+
+
 def cmd_bench(args) -> int:
     params = {
         "gamma": args.gamma,
@@ -362,8 +472,7 @@ def cmd_bench(args) -> int:
     out_dir = args.out
 
     if args.plan:
-        with open(args.plan, "r", encoding="utf-8") as fh:
-            plan = json.load(fh)
+        plan = _load_plan(args.plan)
         envs = plan.get("envs", envs)
         algos = plan.get("algos", algos)
         seeds = plan.get("seeds", seeds)
@@ -376,46 +485,31 @@ def cmd_bench(args) -> int:
         raise UsageError("no environments given (use --envs or a plan file)")
     if not algos:
         raise UsageError("empty algorithm list")
+    if not seeds:
+        raise UsageError("empty seed list")
     for algo in algos:
         if algo not in ALGO_TOKENS:
             raise UsageError(f"unknown algorithm {algo!r} (want so3, quat, or mrp)")
     if not out_dir:
         raise UsageError("no output directory given")
+    configs = {algo: _build_config(algo, params) for algo in algos}
+    jobs = args.jobs or os.environ.get("ROTAVG_JOBS", "1")
+    if not str(jobs).isdigit() or int(jobs) < 1:
+        raise UsageError(f"--jobs (or ROTAVG_JOBS) must be an integer >= 1, got {jobs!r}")
+    jobs = int(jobs)
     os.makedirs(out_dir, exist_ok=True)
 
-    jobs = args.jobs or int(os.environ.get("ROTAVG_JOBS", "1"))
     stems = _unique_stems(envs)
     cells = [(env, algo, seed) for env in envs for algo in algos for seed in seeds]
 
-    results = {}
-    failures = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(
-                    _bench_cell, env, stems[env], algo, seed, params, out_dir
-                ): (env, algo, seed)
-                for env, algo, seed in cells
-            }
-            for future, cell in futures.items():
-                try:
-                    results[cell] = future.result()
-                except Exception as exc:  # record and continue the grid
-                    failures.append((cell, f"{type(exc).__name__}: {exc}"))
-    else:
-        for env, algo, seed in cells:
-            try:
-                results[(env, algo, seed)] = _bench_cell(
-                    env, stems[env], algo, seed, params, out_dir
-                )
-            except Exception as exc:
-                failures.append(((env, algo, seed), f"{type(exc).__name__}: {exc}"))
-
+    results, failures = _run_grid(cells, configs, jobs, stems, out_dir)
     rows = [results[c] for c in cells if c in results]
     envio.export_summary(rows, Path(out_dir) / "summary.csv")
     if failures:
         failure_lines = [
-            f"{env} {algo} seed={seed}: {msg}" for (env, algo, seed), msg in failures
+            f"{env} {algo} seed={seed}: {failures[(env, algo, seed)]}"
+            for env, algo, seed in cells
+            if (env, algo, seed) in failures
         ]
         (Path(out_dir) / "failures.txt").write_text(
             "\n".join(failure_lines) + "\n", encoding="utf-8"
@@ -518,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", help="JSON plan file (overrides the flags above)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel runs (default: ROTAVG_JOBS or 1)")
+                   help="worker processes; each algorithm's cells run as at "
+                        "most this many ensembles (default: ROTAVG_JOBS or 1)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("aggregate", help="recompute aggregate tables from a summary")

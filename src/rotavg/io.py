@@ -57,6 +57,9 @@ IMPORT_MAX_FROBENIUS = 1e-2
 
 _POLAR_ITERS = 60
 
+# Largest entry of R^T R - I accepted for a stored so3_matrix estimate.
+EST_MAX_GRAM_ERROR = 1e-6
+
 
 class ParseError(ValueError):
     """A file could not be parsed; carries path, line number, and reason."""
@@ -132,6 +135,20 @@ def _parse_quat(tokens, reader: _LineReader) -> np.ndarray:
     if abs(np.linalg.norm(q) - 1.0) > 1e-6:
         reader.fail("non-unit quaternion")
     return q
+
+
+def _check_trailer(reader: _LineReader) -> None:
+    """Verify the optional checksum line and that nothing follows it."""
+    trailer = reader.next_content_line()
+    if trailer is None:
+        return
+    tokens = trailer.split()
+    if len(tokens) != 2 or tokens[0] != "checksum":
+        reader.fail(f"unexpected trailing line {trailer!r}")
+    if tokens[1] != _digest(reader.consumed):
+        raise ChecksumMismatch(f"{reader.path}: checksum does not match content")
+    if reader.next_content_line() is not None:
+        reader.fail("content after checksum line")
 
 
 def save_env(env: RotationEnvironment, path) -> None:
@@ -218,17 +235,7 @@ def load_env(path) -> RotationEnvironment:
         edge_quats[e] = _parse_quat(tokens[3:], reader)
         reader.record(line)
 
-    trailer = reader.next_content_line()
-    if trailer is not None:
-        tokens = trailer.split()
-        if len(tokens) == 2 and tokens[0] == "checksum":
-            if tokens[1] != _digest(reader.consumed):
-                raise ChecksumMismatch(f"{path}: checksum does not match content")
-            if reader.next_content_line() is not None:
-                reader.fail("content after checksum line")
-        else:
-            reader.fail(f"unexpected trailing line {trailer!r}")
-
+    _check_trailer(reader)
     return RotationEnvironment(n_nodes, edge_index, edge_quats, ground_truth=gt)
 
 
@@ -248,7 +255,38 @@ def save_estimates(estimates: EstimateSet, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _check_estimate_values(param, vals, line_nos, path) -> None:
+    """Raise ParseError at the first node whose values are not a usable
+    rotation: non-finite, a quaternion of zero or overflowing norm, an
+    MRP whose squared norm overflows, or a matrix farther than
+    EST_MAX_GRAM_ERROR from orthonormal or with determinant <= 0."""
+    if param == "so3_matrix":
+        mats = vals.reshape(-1, 3, 3)
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram = np.swapaxes(mats, -1, -2) @ mats - np.eye(3)
+            ok = (np.max(np.abs(gram), axis=(1, 2)) <= EST_MAX_GRAM_ERROR) \
+                & (np.linalg.det(mats) > 0.0)
+        reason = f"is not a rotation matrix (tolerance {EST_MAX_GRAM_ERROR:g})"
+    else:
+        with np.errstate(over="ignore"):
+            norm2 = np.sum(vals * vals, axis=1)
+        ok = np.isfinite(norm2)
+        reason = "has a non-finite value or norm"
+        if param == "quaternion":
+            ok &= norm2 > 0.0
+            reason = "is a zero quaternion or has a non-finite value or norm"
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ParseError(path, int(line_nos[bad[0]]), f"estimate for node {bad[0]} {reason}")
+
+
 def load_estimates(path) -> EstimateSet:
+    """Read an estimate set written by :func:`save_estimates`.
+
+    Raises ParseError naming the line (and, for bad values, the node) on
+    malformed input and ChecksumMismatch when the trailing digest
+    disagrees.
+    """
     reader = _LineReader(path)
     header = _expect(reader, "format header")
     tokens = header.split()
@@ -276,6 +314,7 @@ def load_estimates(path) -> EstimateSet:
 
     width = {"so3_matrix": 9, "quaternion": 4, "mrp": 3}[param]
     vals = np.empty((n, width), dtype=float)
+    line_nos = np.empty(n, dtype=np.int64)
     for want in range(n):
         line = _expect(reader, f"'est {want} ...'")
         tokens = line.split()
@@ -285,17 +324,11 @@ def load_estimates(path) -> EstimateSet:
             vals[want] = [float(t) for t in tokens[2:]]
         except ValueError:
             reader.fail("malformed number in estimate values")
+        line_nos[want] = reader.line_no
         reader.record(line)
 
-    trailer = reader.next_content_line()
-    if trailer is not None:
-        tokens = trailer.split()
-        if len(tokens) == 2 and tokens[0] == "checksum":
-            if tokens[1] != _digest(reader.consumed):
-                raise ChecksumMismatch(f"{path}: checksum does not match content")
-        else:
-            reader.fail(f"unexpected trailing line {trailer!r}")
-
+    _check_trailer(reader)
+    _check_estimate_values(param, vals, line_nos, reader.path)
     shape = {"so3_matrix": (n, 3, 3), "quaternion": (n, 4), "mrp": (n, 3)}[param]
     return EstimateSet(param, vals.reshape(shape))
 

@@ -20,6 +20,7 @@ from rotavg.averaging import (
     expected_update,
     mrp_loss_and_grad,
     run_averaging,
+    run_ensemble,
 )
 from rotavg.cli import main as cli_main
 from rotavg.envgraph import (
@@ -199,24 +200,23 @@ def test_criterion_4_gradient_correctness():
     )
 
 
-def _table_cell(args):
-    algo, seed = args
-    env = generate_uniform_env(GeneratorConfig(n_nodes=100, k_neighbors=3, seed=seed))
-    cfg = OptimizerConfig(
-        algorithm=algo, gamma=0.5, eta=0.1, batch_size=8,
-        max_iters=BUDGET, seed=seed, checkpoint_every=1000,
-    )
-    _, trace = run_averaging(env, cfg)
-    return algo, metrics.steps_to_threshold(trace), trace[-1].ape_mean_deg
-
-
 def test_criterion_5_scaled_table_reproduction():
-    jobs = min(2, os.cpu_count() or 1)
-    cells = [(algo, seed) for algo in ("mrp", "quaternion", "so3") for seed in range(10)]
+    seeds = range(10)
+    envs = [generate_uniform_env(GeneratorConfig(n_nodes=100, k_neighbors=3, seed=seed))
+            for seed in seeds]
     results = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for algo, steps, final in pool.map(_table_cell, cells):
-            results.setdefault(algo, []).append((steps, final))
+    for algo in ("mrp", "quaternion", "so3"):
+        cfgs = [
+            OptimizerConfig(
+                algorithm=algo, gamma=0.5, eta=0.1, batch_size=8,
+                max_iters=BUDGET, seed=seed, checkpoint_every=1000,
+            )
+            for seed in seeds
+        ]
+        results[algo] = [
+            (metrics.steps_to_threshold(trace), trace[-1].ape_mean_deg)
+            for _, trace in run_ensemble(envs, cfgs)
+        ]
 
     # runs that never crossed 5 degrees count at the full budget
     def mean_steps(algo):

@@ -6,6 +6,7 @@ from conftest import random_matrices, random_quats, random_unit_vectors
 from rotavg import metrics, rotmath
 from rotavg.averaging import (
     EstimateSet,
+    _JoinedGraph,
     OptimizerConfig,
     expected_update,
     initial_estimates,
@@ -13,6 +14,7 @@ from rotavg.averaging import (
     mrp_step,
     quaternion_step,
     run_averaging,
+    run_ensemble,
     so3_step,
     target_quaternion,
 )
@@ -508,6 +510,65 @@ class TestRunAveraging:
             if nonincreasing and trace[-1].ape_mean_deg < 1.0:
                 good += 1
         assert good >= 9
+
+
+class TestRunEnsemble:
+    @pytest.mark.parametrize("algorithm", ["so3", "quaternion", "mrp"])
+    def test_members_equal_solo_runs(self, algorithm):
+        # mixed node counts, three seeds on every environment
+        envs = [small_env(0, n=12), small_env(1, n=20), small_env(2, n=9)]
+        members = [(env, seed) for env in envs for seed in (0, 1, 2)]
+        cfgs = [
+            OptimizerConfig(algorithm, batch_size=4, max_iters=700, seed=seed,
+                            checkpoint_every=200)
+            for _, seed in members
+        ]
+        results = run_ensemble([env for env, _ in members], cfgs)
+        assert len(results) == len(members)
+        for (env, _), cfg, (est, trace) in zip(members, cfgs, results):
+            solo_est, solo_trace = run_averaging(env, cfg)
+            assert np.array_equal(est.values, solo_est.values)
+            assert trace == solo_trace
+
+    def test_run_averaging_takes_an_ensemble(self):
+        # interleaved members: two environments, each shared by two seeds
+        a, b = small_env(0, n=12), small_env(1, n=20)
+        envs = [a, b, a, b]
+        cfgs = [
+            OptimizerConfig("mrp", batch_size=4, max_iters=300, seed=seed,
+                            checkpoint_every=100)
+            for seed in (3, 4, 5, 6)
+        ]
+        results = run_averaging(envs, cfgs)
+        assert len(results) == len(envs)
+        for env, cfg, (est, trace) in zip(envs, cfgs, results):
+            solo_est, solo_trace = run_averaging(env, cfg)
+            assert np.array_equal(est.values, solo_est.values)
+            assert trace == solo_trace
+
+    def test_shared_environment_is_not_copied(self):
+        env = small_env(0, n=12)
+        graph = _JoinedGraph([env, env, env], batch_size=4)
+        assert graph.nbr_ids is env.nbr_ids
+        assert graph.nbr_quats is env.nbr_quats
+        assert graph.nbr_mats is env.nbr_mats
+
+    def test_members_differ_only_in_seed(self):
+        env = small_env()
+        cfgs = [OptimizerConfig("mrp", seed=0), OptimizerConfig("mrp", gamma=0.25, seed=1)]
+        with pytest.raises(ValueError, match="seed"):
+            run_ensemble([env, env], cfgs)
+
+    def test_one_config_per_environment(self):
+        env = small_env()
+        with pytest.raises(ValueError, match="one config"):
+            run_ensemble([env, env], [OptimizerConfig("mrp")])
+
+    def test_batch_checked_for_every_member(self):
+        big, tiny = small_env(0, n=12), small_env(1, n=4, k=2)
+        cfgs = [OptimizerConfig("so3", batch_size=8, seed=s) for s in (0, 1)]
+        with pytest.raises(ValueError, match="exceeds node count 4"):
+            run_ensemble([big, tiny], cfgs)
 
 
 class TestDrift:

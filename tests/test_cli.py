@@ -1,6 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rotavg
+from rotavg import averaging
 from rotavg import io as envio
 from rotavg import rotmath
 from rotavg.averaging import EstimateSet
@@ -180,6 +188,71 @@ class TestBench:
         assert rc == 0
         assert len(envio.load_summary(out / "summary.csv")) == 2
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_oversized_batch_fails_only_its_cells(self, tmp_path, jobs):
+        out = tmp_path / "bench"
+        good = {"gen:n=12,seed=0": "gen_n_12_seed_0", "gen:n=16,seed=2": "gen_n_16_seed_2"}
+        flags = ["--batch", 6, "--iters", 300, "--checkpoint-every", 100]
+        rc = run_cli("bench", "--envs", "gen:n=12,seed=0", "gen:n=5,k=2,seed=1",
+                     "gen:n=16,seed=2", "--algos", "mrp,so3", "--seeds", "0-2",
+                     "--jobs", jobs, "--out", out, *flags)
+        assert rc == 2
+        assert (out / "failures.txt").read_text().splitlines() == [
+            f"gen:n=5,k=2,seed=1 {algo} seed={seed}: "
+            "ValueError: batch_size 6 exceeds node count 5"
+            for algo in ("mrp", "so3") for seed in range(3)
+        ]
+        assert len(envio.load_summary(out / "summary.csv")) == 12
+        for env, stem in good.items():
+            for algo in ("mrp", "so3"):
+                for seed in range(3):
+                    solo = tmp_path / "solo"
+                    assert run_cli("run", "--env", env, "--algo", algo,
+                                   "--seed", seed, "--out", solo, *flags) == 0
+                    name = f"trace_{algo}_{seed}.csv"
+                    assert (out / stem / name).read_bytes() == (solo / name).read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("seeds", '"0-2"'), ("batch", '"8"'),
+                                            ("iter", "100")])
+    def test_bad_plan_is_usage_error_before_any_cell(self, tmp_path, capsys, key, value):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"envs": ["gen:n=10,seed=3"], "algos": ["mrp"], '
+                        f'"iters": 100, "{key}": {value}}}')
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--plan", plan, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert key in err and str(json.loads(value)) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['{"envs": [', '["gen:n=10,seed=3"]'])
+    def test_plan_that_is_not_a_json_object_is_usage_error(self, tmp_path, capsys, text):
+        plan = tmp_path / "plan.json"
+        plan.write_text(text)
+        assert run_cli("bench", "--plan", plan, "--out", tmp_path / "bench") == 1
+        assert "plan.json" in capsys.readouterr().err
+
+    def test_error_while_stepping_fails_the_whole_ensemble(self, tmp_path, monkeypatch):
+        def broken_step(*args):
+            raise FloatingPointError("step blew up")
+
+        monkeypatch.setitem(averaging.STEP_FUNCTIONS, "mrp", broken_step)
+        out = tmp_path / "bench"
+        rc = run_cli("bench", "--envs", "gen:n=10,seed=0", "gen:n=12,seed=1",
+                     "--algos", "mrp,quat", "--seeds", "0,1", "--iters", 100,
+                     "--out", out)
+        assert rc == 2
+        failed = (out / "failures.txt").read_text().splitlines()
+        assert len(failed) == 4
+        assert all(" mrp seed=" in line and "step blew up" in line for line in failed)
+        assert [r.algorithm for r in envio.load_summary(out / "summary.csv")] == ["quat"] * 4
+
+    def test_bad_jobs_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--jobs", -1,
+                       "--out", tmp_path) == 1
+        monkeypatch.setenv("ROTAVG_JOBS", "abc")
+        assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--out", tmp_path) == 1
+        assert "ROTAVG_JOBS" in capsys.readouterr().err
+
     def test_unknown_algorithm_is_usage_error(self, tmp_path):
         rc = run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "euler",
                      "--out", tmp_path)
@@ -262,6 +335,17 @@ class TestImportEval:
         assert run_cli("eval", "--env", env_file, "--estimates", est_file) == 1
         assert "does not match" in capsys.readouterr().err
 
+    def test_eval_zero_quaternion_is_data_error(self, tmp_path, rng, capsys):
+        eg, gt_file = self.make_scene(tmp_path, rng)
+        env_file = tmp_path / "env.txt"
+        assert run_cli("import", "--in", eg, "--gt", gt_file, "--out", env_file) == 0
+        est = EstimateSet.identity(4, "quaternion")
+        est.values[1] = 0.0
+        est_file = tmp_path / "est.txt"
+        envio.save_estimates(est, est_file)
+        assert run_cli("eval", "--env", env_file, "--estimates", est_file) == 2
+        assert "node 1" in capsys.readouterr().err
+
     def test_import_missing_file_is_data_error(self, tmp_path):
         assert run_cli("import", "--in", tmp_path / "nope.txt",
                        "--out", tmp_path / "env.txt") == 2
@@ -271,3 +355,14 @@ class TestHelp:
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         assert "rotavg" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("module", ["rotavg", "rotavg.cli"])
+    def test_python_m_runs_without_warnings(self, module):
+        src = str(Path(rotavg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", module, "--help"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "rotavg" in proc.stdout

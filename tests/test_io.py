@@ -161,6 +161,42 @@ class TestEstimates:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestEstimateValidation:
+    def test_content_after_checksum_rejected(self, tmp_path, rng):
+        path = tmp_path / "est.txt"
+        envio.save_estimates(EstimateSet.from_quaternions(random_quats(rng, 4), "mrp"), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("est 4 0 0 0\n")
+        with pytest.raises(envio.ParseError, match="after checksum"):
+            envio.load_estimates(path)
+
+    @pytest.mark.parametrize("param, bad", [
+        ("quaternion", [0.0, 0.0, 0.0, 0.0]),
+        ("quaternion", [np.nan, 0.0, 0.0, 1.0]),
+        ("quaternion", [np.inf, 0.0, 0.0, 0.0]),
+        ("mrp", [np.nan, 0.0, 0.0]),
+        ("mrp", [0.0, -np.inf, 0.0]),
+        ("so3_matrix", np.diag([1.0, 1.0, 1.001])),
+        ("so3_matrix", np.diag([1.0, 1.0, -1.0])),
+        ("so3_matrix", np.full((3, 3), np.nan)),
+    ])
+    def test_unusable_values_name_the_node(self, tmp_path, rng, param, bad):
+        est = EstimateSet.from_quaternions(random_quats(rng, 5), param)
+        est.values[2] = np.reshape(bad, est.values[2].shape)
+        path = tmp_path / "est.txt"
+        envio.save_estimates(est, path)
+        with pytest.raises(envio.ParseError, match="node 2") as err:
+            envio.load_estimates(path)
+        assert err.value.line_no == 6  # the 'est 2' line
+
+    def test_matrix_within_tolerance_accepted(self, tmp_path, rng):
+        est = EstimateSet.from_quaternions(random_quats(rng, 5), "so3_matrix")
+        est.values[1] *= 1.0 + 0.25 * envio.EST_MAX_GRAM_ERROR
+        path = tmp_path / "est.txt"
+        envio.save_estimates(est, path)
+        assert np.array_equal(envio.load_estimates(path).values, est.values)
+
+
 class TestTraceFiles:
     def records(self):
         return [
