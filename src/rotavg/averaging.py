@@ -28,23 +28,20 @@ program; each member's estimates and trace equal those of its lone run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from . import metrics, rotmath
 
-ALGORITHMS = ("so3", "quaternion", "mrp")
-
 # Runs draw from the stream family (seed, _RUN_STREAM) so a run seeded s
 # on an environment generated with the same integer s never starts from
 # the environment's own ground-truth draw.
 _RUN_STREAM = 0x524F5441
-PARAMETERIZATIONS = ("so3_matrix", "quaternion", "mrp")
-PARAM_FOR_ALGORITHM = {
-    "so3": "so3_matrix",
-    "quaternion": "quaternion",
-    "mrp": "mrp",
-}
+# Shape of one node's value in each parameterization.
+VALUE_SHAPES = {"so3_matrix": (3, 3), "quaternion": (4,), "mrp": (3,)}
+PARAMETERIZATIONS = tuple(VALUE_SHAPES)
 INIT_MODES = ("identity", "haar")
 
 
@@ -113,12 +110,11 @@ class EstimateSet:
         if parameterization not in PARAMETERIZATIONS:
             raise ValueError(f"unknown parameterization {parameterization!r}")
         values = np.array(values, dtype=float, copy=True)
-        n = values.shape[0]
-        expected = {"so3_matrix": (n, 3, 3), "quaternion": (n, 4), "mrp": (n, 3)}
-        if values.shape != expected[parameterization]:
+        expected = values.shape[:1] + VALUE_SHAPES[parameterization]
+        if values.shape != expected:
             raise ValueError(
                 f"values shape {values.shape} does not match "
-                f"{parameterization} (want {expected[parameterization]})"
+                f"{parameterization} (want {expected})"
             )
         self.parameterization = parameterization
         self.values = values
@@ -129,14 +125,7 @@ class EstimateSet:
 
     @classmethod
     def identity(cls, n: int, parameterization: str) -> "EstimateSet":
-        if parameterization == "so3_matrix":
-            vals = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
-        elif parameterization == "quaternion":
-            vals = np.zeros((n, 4))
-            vals[:, 0] = 1.0
-        else:
-            vals = np.zeros((n, 3))
-        return cls(parameterization, vals)
+        return cls.from_quaternions(np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), parameterization)
 
     @classmethod
     def from_quaternions(cls, quats, parameterization: str) -> "EstimateSet":
@@ -181,7 +170,7 @@ def _so3_pair_grads(r_i, r_j, rel):
     """Per-pair so3 loss |r|^2 and displacement r = log(R_i^T R(q_i_j) R_j),
     the tangent vector at R_i toward the pair target."""
     r = rotmath.log_so3(np.swapaxes(r_i, -1, -2) @ rel @ r_j)
-    return np.sum(r * r, axis=-1), r
+    return np.sum(r * r, axis=-1), r, None
 
 
 def _quaternion_pair_grads(q_i, q_j, q_ij):
@@ -189,7 +178,7 @@ def _quaternion_pair_grads(q_i, q_j, q_ij):
     where t = q_i_j x q_j."""
     q_t = rotmath.quat_mul(q_ij, q_j)
     dot = np.sum(q_i * q_t, axis=-1)
-    return 1.0 - dot * dot, (-2.0 * dot)[..., None] * q_t
+    return 1.0 - dot * dot, (-2.0 * dot)[..., None] * q_t, None
 
 
 def _mrp_pair_grads(psi_i, psi_j, q_ij):
@@ -262,13 +251,10 @@ class _JoinedGraph:
         # estimates, and its environment's first row in the arrays above
         self.batch_starts = np.repeat(starts, batch_size)
         self.batch_rows = np.repeat([row_of[id(env)] for env in envs], batch_size)
-        self._nbr_mats = None
 
-    @property
+    @cached_property
     def nbr_mats(self) -> np.ndarray:
-        if self._nbr_mats is None:
-            self._nbr_mats = _join([env.nbr_mats for env in self._distinct])
-        return self._nbr_mats
+        return _join([env.nbr_mats for env in self._distinct])
 
 
 def _sample_batch(env, batch_size, rng):
@@ -294,65 +280,83 @@ def _sample_batch(env, batch_size, rng):
     return idx, env.nbr_ids[sel], sel
 
 
-def mrp_step(estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> StepReport:
-    """One synchronous batch update in MRP space.
+def _so3_apply(r_i, r_delta, cfg):
+    """Move along the mean-reduced displacement: R_i expm(gamma / b * r)."""
+    applied = (cfg.gamma / cfg.batch_size) * r_delta
+    return r_i @ rotmath.exp_so3(applied), applied
 
-    Each sampled node applies the per-sample rule at full strength: its
-    pair gradient is clamped to norm eta, then scaled by gamma, so the
-    applied step never exceeds gamma * eta regardless of batch size.  The
-    clamp is what keeps steps sane where the projection distorts scale,
-    and its calibration is tied to the per-sample rate.
-    """
-    if estimates.parameterization != "mrp":
-        raise ValueError("mrp_step requires mrp-parameterized estimates")
-    idx, j, sel = _sample_batch(env, cfg.batch_size, rng)
-    psi = estimates.values
-    loss, grad, sign = _mrp_pair_grads(psi[idx], psi[j], env.nbr_quats[sel])
 
+def _quaternion_apply(q_i, grad, cfg):
+    """Mean-reduced descent step in R^4, then renormalization."""
+    applied = (-cfg.gamma / cfg.batch_size) * grad
+    return rotmath.quat_normalize(q_i + applied), applied
+
+
+def _mrp_apply(psi_i, grad, cfg):
+    """The per-sample rule at full strength: each pair gradient is clamped
+    to norm eta, then scaled by gamma, so the applied step never exceeds
+    gamma * eta regardless of batch size.  The clamp is what keeps steps
+    sane where the projection distorts scale, and its calibration is tied
+    to the per-sample rate."""
     norms = np.linalg.norm(grad, axis=-1)
     over = norms > cfg.eta
     scale = np.where(over, cfg.eta / np.where(over, norms, 1.0), 1.0)
     applied = (-cfg.gamma) * scale[:, None] * grad
+    return psi_i + applied, applied
 
-    psi[idx] += applied
+
+@dataclass(frozen=True)
+class Algorithm:
+    """What sets one update rule apart: the parameterization it steps in,
+    the neighbor array its pair targets come from, its per-pair
+    ``(loss, grad, antipodes or None)`` and its apply rule
+    ``(x_i, grad, cfg) -> (new x_i, applied update)``."""
+
+    parameterization: str
+    targets: str
+    pair_grads: Callable
+    apply: Callable
+
+
+# The one place an update rule is defined; a new algorithm is one entry.
+ALGORITHM_TABLE = {
+    "so3": Algorithm("so3_matrix", "nbr_mats", _so3_pair_grads, _so3_apply),
+    "quaternion": Algorithm("quaternion", "nbr_quats", _quaternion_pair_grads, _quaternion_apply),
+    "mrp": Algorithm("mrp", "nbr_quats", _mrp_pair_grads, _mrp_apply),
+}
+ALGORITHMS = tuple(ALGORITHM_TABLE)
+PARAM_FOR_ALGORITHM = {name: a.parameterization for name, a in ALGORITHM_TABLE.items()}
+
+
+def _step(name: str, estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> StepReport:
+    """One synchronous batch update of algorithm ``name``: every sampled
+    pair's gradient comes from the pre-step values, then all apply."""
+    algo = ALGORITHM_TABLE[name]
+    if estimates.parameterization != algo.parameterization:
+        raise ValueError(f"{name}_step requires {algo.parameterization}-parameterized estimates")
+    idx, j, sel = _sample_batch(env, cfg.batch_size, rng)
+    x = estimates.values
+    x_i = x[idx]
+    loss, grad, antipodes = algo.pair_grads(x_i, x[j], getattr(env, algo.targets)[sel])
+    x[idx], applied = algo.apply(x_i, grad, cfg)
     return StepReport(
-        pairs=np.stack([idx, j], axis=1),
-        losses=loss,
-        updates=applied,
-        antipodes=sign,
+        pairs=np.stack([idx, j], axis=1), losses=loss, updates=applied, antipodes=antipodes
     )
 
 
 def so3_step(estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> StepReport:
     """One synchronous batch update on the rotation-matrix manifold."""
-    if estimates.parameterization != "so3_matrix":
-        raise ValueError("so3_step requires so3_matrix-parameterized estimates")
-    idx, j, sel = _sample_batch(env, cfg.batch_size, rng)
-    mats = estimates.values
-    r_i = mats[idx]
-    loss, r_delta = _so3_pair_grads(r_i, mats[j], env.nbr_mats[sel])
-    applied = (cfg.gamma / cfg.batch_size) * r_delta
-
-    mats[idx] = r_i @ rotmath.exp_so3(applied)
-    return StepReport(
-        pairs=np.stack([idx, j], axis=1), losses=loss, updates=applied
-    )
+    return _step("so3", estimates, env, cfg, rng)
 
 
 def quaternion_step(estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> StepReport:
     """One synchronous batch update on quaternions in ambient R^4."""
-    if estimates.parameterization != "quaternion":
-        raise ValueError("quaternion_step requires quaternion-parameterized estimates")
-    idx, j, sel = _sample_batch(env, cfg.batch_size, rng)
-    quats = estimates.values
-    q_i = quats[idx]
-    loss, grad = _quaternion_pair_grads(q_i, quats[j], env.nbr_quats[sel])
-    applied = (-cfg.gamma / cfg.batch_size) * grad
+    return _step("quaternion", estimates, env, cfg, rng)
 
-    quats[idx] = rotmath.quat_normalize(q_i + applied)
-    return StepReport(
-        pairs=np.stack([idx, j], axis=1), losses=loss, updates=applied
-    )
+
+def mrp_step(estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> StepReport:
+    """One synchronous batch update in MRP space (see _mrp_apply)."""
+    return _step("mrp", estimates, env, cfg, rng)
 
 
 STEP_FUNCTIONS = {
@@ -399,7 +403,8 @@ def run_ensemble(envs, cfgs):
     members' pairs, so each member ends with the estimates and trace
     that run_averaging(env, cfg) gives alone.  Returns one
     (EstimateSet, trace) per member, in order.  An exception while
-    stepping ends every member.
+    stepping ends every member, and so does a member whose estimates are
+    not finite at a checkpoint (ValueError naming the step and node).
     """
     envs, cfgs = list(envs), list(cfgs)
     if not envs or len(envs) != len(cfgs):
@@ -433,9 +438,21 @@ def run_ensemble(envs, cfgs):
     for t in range(1, base.max_iters + 1):
         step_fn(joint, graph, base, rng)
         if t % base.checkpoint_every == 0 or t == base.max_iters:
-            for m, env, trace in zip(members, envs, traces):
+            for m, env, cfg, trace in zip(members, envs, cfgs, traces):
+                _check_finite(m, cfg, t)
                 trace.append(metrics.evaluate(m, env, t))
     return list(zip(members, traces))
+
+
+def _check_finite(estimates: EstimateSet, cfg: OptimizerConfig, step: int) -> None:
+    """Stop a diverged run: ValueError naming the step and the first node
+    with a non-finite value."""
+    finite = np.isfinite(estimates.values.reshape(estimates.n_nodes, -1)).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"run seed {cfg.seed} diverged: node {np.argmin(finite)} has a "
+            f"non-finite estimate at step {step} (gamma {cfg.gamma:g})"
+        )
 
 
 def run_averaging(env, cfg):
@@ -460,25 +477,14 @@ def expected_update(estimates: EstimateSet, env, i: int, algorithm: str) -> np.n
     Zero norm here means the node sits at a critical point of the
     stochastic scheme.
     """
-    if algorithm not in ALGORITHMS:
+    if algorithm not in ALGORITHM_TABLE:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     lo, hi = env.nbr_offsets[i], env.nbr_offsets[i + 1]
     if hi == lo:
         raise ValueError(f"node {i} has no neighbors")
-    js = env.nbr_ids[lo:hi]
-    q_ij = env.nbr_quats[lo:hi]
-
-    if algorithm == "so3":
-        mats = estimates.values if estimates.parameterization == "so3_matrix" \
-            else estimates.to_matrices()
-        _, r = _so3_pair_grads(mats[i][None], mats[js], rotmath.quat_to_matrix(q_ij))
-        return r.mean(axis=0)
-    if algorithm == "quaternion":
-        quats = estimates.values if estimates.parameterization == "quaternion" \
-            else estimates.to_quaternions()
-        _, grad = _quaternion_pair_grads(quats[i][None], quats[js], q_ij)
-        return grad.mean(axis=0)
-    psi = estimates.values if estimates.parameterization == "mrp" \
-        else estimates.reparameterize("mrp").values
-    _, grad, _ = _mrp_pair_grads(psi[i][None], psi[js], q_ij)
+    algo = ALGORITHM_TABLE[algorithm]
+    x = estimates.values if estimates.parameterization == algo.parameterization \
+        else estimates.reparameterize(algo.parameterization).values
+    targets = getattr(env, algo.targets)[lo:hi]
+    _, grad, _ = algo.pair_grads(x[i][None], x[env.nbr_ids[lo:hi]], targets)
     return grad.mean(axis=0)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io as envio
 from . import metrics
-from .averaging import OptimizerConfig, check_run, run_averaging
+from .averaging import INIT_MODES, OptimizerConfig, check_run, run_averaging
 from .envgraph import ConnectivityFailure, GeneratorConfig, generate_uniform_env
 
 EXIT_OK = 0
@@ -55,40 +55,44 @@ def _default_checkpoint_every(iters: int) -> int:
     return 1000 if iters >= 100_000 else 200
 
 
+# gen spec keys, which are also the gen command's flags -> GeneratorConfig fields
+_GEN_KEYS = {"n": "n_nodes", "k": "k_neighbors", "seed": "seed",
+             "mode": "neighborhood_mode", "epsilon": "epsilon"}
+
+
+def _gen_config(**values) -> GeneratorConfig:
+    """A checked GeneratorConfig from gen spec keys (n defaults to 100)."""
+    cfg = GeneratorConfig(**{_GEN_KEYS[k]: v for k, v in {"n": 100, **values}.items()})
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return cfg
+
+
 def _parse_gen_spec(spec: str) -> GeneratorConfig:
     body = spec[len("gen:"):]
-    fields = {"n": 100, "k": 3, "seed": 0, "mode": "knn", "epsilon": 0.0}
+    values = {}
     if body:
         for part in body.split(","):
             if "=" not in part:
                 raise UsageError(f"bad gen spec field {part!r} (want key=value)")
             key, value = part.split("=", 1)
-            if key not in fields:
+            if key not in _GEN_KEYS:
                 raise UsageError(f"unknown gen spec key {key!r}")
             if key == "mode":
-                fields[key] = value
+                values[key] = value
                 continue
             try:
-                fields[key] = float(value) if key == "epsilon" else int(value)
+                values[key] = float(value) if key == "epsilon" else int(value)
             except ValueError:
                 raise UsageError(f"bad gen spec value {key}={value!r}") from None
-    return GeneratorConfig(
-        n_nodes=fields["n"],
-        k_neighbors=fields["k"],
-        seed=fields["seed"],
-        neighborhood_mode=fields["mode"],
-        epsilon=fields["epsilon"],
-    )
+    return _gen_config(**values)
 
 
 def _load_env_source(source: str):
     if source.startswith("gen:"):
-        cfg = _parse_gen_spec(source)
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        return generate_uniform_env(cfg)
+        return generate_uniform_env(_parse_gen_spec(source))
     return envio.load_env(source)
 
 
@@ -119,43 +123,22 @@ def _build_config(algo_token: str, args_like: dict) -> OptimizerConfig:
 
 def _summary_row(env_label, algo_token, cfg, trace) -> envio.SummaryRow:
     summ = metrics.summarize(trace)
-    last = trace[-1]
+    # each final_<metric> column is <metric> of the trace's last record
+    finals = [getattr(trace[-1], name.removeprefix("final_"))
+              for name in envio.SUMMARY_COLUMNS if name.startswith("final_")]
     return envio.SummaryRow(
-        env=env_label,
-        algorithm=algo_token,
-        seed=cfg.seed,
-        nauc=summ.nauc,
-        steps_to_5deg=summ.steps_to_5deg,
-        final_ape_mean_deg=last.ape_mean_deg,
-        final_ape_median_deg=last.ape_median_deg,
-        final_rel_mean_deg=last.rel_mean_deg,
-        final_rel_median_deg=last.rel_median_deg,
-        final_abs_mean_deg=last.abs_mean_deg,
-        final_abs_median_deg=last.abs_median_deg,
+        env_label, algo_token, cfg.seed, summ.nauc, summ.steps_to_5deg, *finals
     )
 
 
 def cmd_gen(args) -> int:
-    if args.n < 2:
-        raise UsageError("--n must be >= 2")
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
     if args.count < 1:
         raise UsageError("--count must be >= 1")
+    base = _gen_config(n=args.n, k=args.k, seed=args.seed, mode=args.mode, epsilon=args.epsilon)
     os.makedirs(args.out, exist_ok=True)
     failures = 0
     for seed in range(args.seed, args.seed + args.count):
-        cfg = GeneratorConfig(
-            n_nodes=args.n,
-            k_neighbors=args.k,
-            seed=seed,
-            neighborhood_mode=args.mode,
-            epsilon=args.epsilon,
-        )
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        cfg = replace(base, seed=seed)
         try:
             env = generate_uniform_env(cfg)
         except ConnectivityFailure as exc:
@@ -311,30 +294,22 @@ def _fmt_cell(value, kind="f"):
     return f"{value:.4g}"
 
 
+# aggregate columns after the milestones: header -> aggregate_rows key
+_AGG_COLUMNS = {"steps_mean": "steps_mean", "steps_max": "steps_max", "steps_min": "steps_min",
+                "nauc_mean": "nauc_mean", "nauc_max": "nauc_max", "nauc_min": "nauc_min",
+                "final_mean_deg": "final_mean", "final_median_deg": "final_median"}
+
+
 def render_aggregate(milestones, stats, max_iters: int):
     """Human-readable and CSV forms of the aggregate table."""
-    headers = (
-        ["algorithm", "runs"]
-        + [f"conv%@{m}" for m in milestones]
-        + ["steps_mean", "steps_max", "steps_min",
-           "nauc_mean", "nauc_max", "nauc_min",
-           "final_mean_deg", "final_median_deg"]
-    )
+    headers = ["algorithm", "runs", *(f"conv%@{m}" for m in milestones), *_AGG_COLUMNS]
     table = []
     for s in stats:
         table.append(
             [s["algorithm"], str(s["runs"])]
             + [f"{s['conv_pct'][m]:.0f}%" for m in milestones]
-            + [
-                _fmt_cell(s["steps_mean"]),
-                _fmt_cell(s["steps_max"], "steps"),
-                _fmt_cell(s["steps_min"], "steps"),
-                _fmt_cell(s["nauc_mean"]),
-                _fmt_cell(s["nauc_max"]),
-                _fmt_cell(s["nauc_min"]),
-                _fmt_cell(s["final_mean"]),
-                _fmt_cell(s["final_median"]),
-            ]
+            + [_fmt_cell(s[key], "steps" if key in ("steps_max", "steps_min") else "f")
+               for key in _AGG_COLUMNS.values()]
         )
     widths = [
         max(len(headers[c]), *(len(row[c]) for row in table)) if table else len(headers[c])
@@ -380,7 +355,7 @@ _PLAN_FIELDS = {
     "batch": (_is_int, "an integer"),
     "iters": (_is_int, "an integer"),
     "checkpoint_every": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "init": (lambda v: v in ("haar", "identity"), "'haar' or 'identity'"),
+    "init": (lambda v: v in INIT_MODES, " or ".join(map(repr, INIT_MODES))),
 }
 
 
@@ -456,16 +431,13 @@ def _run_grid(cells, configs, jobs, stems, out_dir):
     return results, failures
 
 
+# run parameters a bench takes from its flags, or from its plan
+_GRID_PARAMS = ("gamma", "eta", "batch", "iters", "checkpoint_every", "init")
+
+
 def cmd_bench(args) -> int:
-    params = {
-        "gamma": args.gamma,
-        "eta": args.eta,
-        "batch": args.batch,
-        "iters": args.iters,
-        "checkpoint_every": args.checkpoint_every,
-        "init": args.init,
-        "seed": 0,
-    }
+    params = {key: getattr(args, key) for key in _GRID_PARAMS}
+    params["seed"] = 0
     envs = list(args.envs or [])
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     seeds = _parse_seeds(args.seeds)
@@ -477,7 +449,7 @@ def cmd_bench(args) -> int:
         algos = plan.get("algos", algos)
         seeds = plan.get("seeds", seeds)
         out_dir = plan.get("out", out_dir)
-        for key in ("gamma", "eta", "batch", "iters", "checkpoint_every", "init"):
+        for key in _GRID_PARAMS:
             if key in plan:
                 params[key] = plan[key]
 
@@ -492,6 +464,10 @@ def cmd_bench(args) -> int:
             raise UsageError(f"unknown algorithm {algo!r} (want so3, quat, or mrp)")
     if not out_dir:
         raise UsageError("no output directory given")
+    for what, values in (("environment", envs), ("algorithm", algos), ("seed", seeds)):
+        repeats = [v for k, v in enumerate(values) if v in values[:k]]
+        if repeats:
+            raise UsageError(f"{what} {repeats[0]!r} is repeated in the bench grid")
     configs = {algo: _build_config(algo, params) for algo in algos}
     jobs = args.jobs or os.environ.get("ROTAVG_JOBS", "1")
     if not str(jobs).isdigit() or int(jobs) < 1:
@@ -548,17 +524,10 @@ def cmd_eval(args) -> int:
             f"environment node count {env.n_nodes}"
         )
     rec = metrics.evaluate(estimates, env, 0)
-    lines = [
-        f"rel_mean_deg {envio._fmt(rec.rel_mean_deg)}",
-        f"rel_median_deg {envio._fmt(rec.rel_median_deg)}",
-    ]
-    if rec.ape_mean_deg is not None:
-        lines += [
-            f"ape_mean_deg {envio._fmt(rec.ape_mean_deg)}",
-            f"ape_median_deg {envio._fmt(rec.ape_median_deg)}",
-            f"abs_mean_deg {envio._fmt(rec.abs_mean_deg)}",
-            f"abs_median_deg {envio._fmt(rec.abs_median_deg)}",
-        ]
+    names = [f"{kind}_{stat}_deg" for kind in ("rel", "ape", "abs") for stat in ("mean", "median")]
+    # without ground truth only the relative errors are defined
+    lines = [f"{name} {envio.format_float(getattr(rec, name))}"
+             for name in names if getattr(rec, name) is not None]
     report = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")
@@ -567,14 +536,15 @@ def cmd_eval(args) -> int:
 
 
 def _add_run_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, default=0.5, help="learning rate")
-    p.add_argument("--eta", type=float, default=0.1, help="max MRP gradient norm")
-    p.add_argument("--batch", type=int, default=8, help="batch size")
-    p.add_argument("--iters", type=int, default=300_000, help="batch steps to run")
+    defaults = OptimizerConfig(algorithm="mrp")
+    p.add_argument("--gamma", type=float, default=defaults.gamma, help="learning rate")
+    p.add_argument("--eta", type=float, default=defaults.eta, help="max MRP gradient norm")
+    p.add_argument("--batch", type=int, default=defaults.batch_size, help="batch size")
+    p.add_argument("--iters", type=int, default=defaults.max_iters, help="batch steps to run")
     p.add_argument("--checkpoint-every", type=int, default=None,
                    dest="checkpoint_every",
                    help="metric cadence (default: 1000 for budgets >= 100K, else 200)")
-    p.add_argument("--init", choices=("haar", "identity"), default="haar",
+    p.add_argument("--init", choices=INIT_MODES, default=defaults.init,
                    help="initial estimates")
 
 

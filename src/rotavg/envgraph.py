@@ -14,6 +14,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +50,7 @@ class GeneratorConfig:
             raise ValueError("epsilon mode requires epsilon > 0")
 
 
-def _union_find_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+def connected_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Component label per node (smallest member id), vectorized union-find."""
     parent = np.arange(n, dtype=np.int64)
     while True:
@@ -78,7 +79,8 @@ class RotationEnvironment:
         Directed edge endpoints (i, j); no self loops, one record per
         unordered pair.
     edge_quats : (E, 4) float array
-        Relative rotations q_i_j as [w, x, y, z], unit within 1e-6.
+        Relative rotations q_i_j as [w, x, y, z], unit within
+        rotmath.UNIT_QUAT_TOL.
     ground_truth : optional, (N, 4) quaternions or (N, 3, 3) matrices
         Reference orientations R_i.
 
@@ -106,11 +108,10 @@ class RotationEnvironment:
         key = np.minimum(i, j) * n + np.maximum(i, j)
         if np.unique(key).size != key.size:
             raise ValueError("duplicate edge for an unordered node pair")
-        norms = np.linalg.norm(edge_quats, axis=-1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        if np.any(rotmath.not_unit_quat(edge_quats)):
             raise ValueError("non-unit edge quaternion")
 
-        labels = _union_find_labels(n, i, j)
+        labels = connected_components(n, i, j)
         if np.unique(labels).size != 1:
             raise ValueError("environment graph is not connected")
 
@@ -128,7 +129,7 @@ class RotationEnvironment:
                 self._gt_quats = rotmath.matrix_to_quat(gt)
             else:
                 raise ValueError("ground_truth must be (N, 4) or (N, 3, 3)")
-            if np.any(np.abs(np.linalg.norm(self._gt_quats, axis=-1) - 1.0) > 1e-6):
+            if np.any(rotmath.not_unit_quat(self._gt_quats)):
                 raise ValueError("non-unit ground-truth quaternion")
             self.ground_truth = rotmath.quat_to_matrix(self._gt_quats)
 
@@ -150,9 +151,6 @@ class RotationEnvironment:
             self._gt_quats.setflags(write=False)
             self.ground_truth.setflags(write=False)
 
-        self._nbr_mats = None
-        self._edge_mats = None
-
     @property
     def n_edges(self) -> int:
         return self.edge_index.shape[0]
@@ -161,23 +159,19 @@ class RotationEnvironment:
     def ground_truth_quats(self):
         return self._gt_quats
 
-    @property
+    @cached_property
     def nbr_mats(self) -> np.ndarray:
         """Neighborhood relative rotations as matrices, computed once."""
-        if self._nbr_mats is None:
-            mats = rotmath.quat_to_matrix(self.nbr_quats)
-            mats.setflags(write=False)
-            self._nbr_mats = mats
-        return self._nbr_mats
+        mats = rotmath.quat_to_matrix(self.nbr_quats)
+        mats.setflags(write=False)
+        return mats
 
-    @property
+    @cached_property
     def edge_mats(self) -> np.ndarray:
         """Edge relative rotations as matrices, computed once."""
-        if self._edge_mats is None:
-            mats = rotmath.quat_to_matrix(self.edge_quats)
-            mats.setflags(write=False)
-            self._edge_mats = mats
-        return self._edge_mats
+        mats = rotmath.quat_to_matrix(self.edge_quats)
+        mats.setflags(write=False)
+        return mats
 
 
 def neighborhood_of(env: RotationEnvironment, i: int) -> list[tuple[int, np.ndarray]]:
@@ -190,8 +184,7 @@ def neighborhood_of(env: RotationEnvironment, i: int) -> list[tuple[int, np.ndar
 
 def _pairwise_geodesic(mats: np.ndarray) -> np.ndarray:
     flat = mats.reshape(len(mats), 9)
-    cos = np.clip((flat @ flat.T - 1.0) / 2.0, -1.0, 1.0)
-    return np.arccos(cos)
+    return rotmath.angle_from_trace(flat @ flat.T)
 
 
 def generate_uniform_env(cfg: GeneratorConfig) -> RotationEnvironment:
@@ -229,7 +222,7 @@ def generate_uniform_env(cfg: GeneratorConfig) -> RotationEnvironment:
         if i.size == 0:
             continue
 
-        labels = _union_find_labels(n, i, j)
+        labels = connected_components(n, i, j)
         if np.unique(labels).size != 1:
             continue
 

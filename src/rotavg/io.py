@@ -12,50 +12,50 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass
+import math
+import re
+from dataclasses import dataclass, fields
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 
 from . import rotmath
-from .averaging import PARAMETERIZATIONS, EstimateSet
-from .envgraph import RotationEnvironment
+from .averaging import VALUE_SHAPES, EstimateSet
+from .envgraph import RotationEnvironment, connected_components
 from .metrics import TraceRecord
 
 ENV_MAGIC = "ROTAVG-ENV"
 EST_MAGIC = "ROTAVG-EST"
 FORMAT_VERSION = 1
 
-TRACE_COLUMNS = (
-    "step",
-    "ape_mean_deg",
-    "ape_median_deg",
-    "rel_mean_deg",
-    "rel_median_deg",
-    "abs_mean_deg",
-    "abs_median_deg",
-)
 
-SUMMARY_COLUMNS = (
-    "env",
-    "algorithm",
-    "seed",
-    "nauc",
-    "steps_to_5deg",
-    "final_ape_mean_deg",
-    "final_ape_median_deg",
-    "final_rel_mean_deg",
-    "final_rel_median_deg",
-    "final_abs_mean_deg",
-    "final_abs_median_deg",
-)
+@dataclass
+class SummaryRow:
+    """One benchmark run's headline results (one CSV row)."""
+
+    env: str
+    algorithm: str
+    seed: int
+    nauc: float | None
+    steps_to_5deg: int | None
+    final_ape_mean_deg: float | None
+    final_ape_median_deg: float | None
+    final_rel_mean_deg: float | None
+    final_rel_median_deg: float | None
+    final_abs_mean_deg: float | None
+    final_abs_median_deg: float | None
+
+
+# CSV columns are the record fields, in order
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 NOT_CONVERGED = "NotConverged"
 
 # Frobenius distance beyond which an imported matrix is rejected as
 # not-a-rotation rather than silently repaired.
 IMPORT_MAX_FROBENIUS = 1e-2
-
-_POLAR_ITERS = 60
 
 # Largest entry of R^T R - I accepted for a stored so3_matrix estimate.
 EST_MAX_GRAM_ERROR = 1e-6
@@ -79,13 +79,35 @@ class EmptyGraph(ValueError):
     """An import yielded no usable edges."""
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """17 significant digits: round-trips an IEEE double exactly."""
     return format(float(x), ".17g")
+
+
+def _cell(value) -> str:
+    """A CSV cell: empty for None, format_float for a float."""
+    if value is None:
+        return ""
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
+def _decode(path) -> str:
+    """The file's text; ParseError at the line of its first non-UTF-8 byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from None
 
 
 def _digest(lines: list[str]) -> str:
     payload = "".join(line + "\n" for line in lines)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _is_content(line: str) -> bool:
+    stripped = line.strip()
+    return bool(stripped) and stripped[0] != "#"
 
 
 class _LineReader:
@@ -94,9 +116,7 @@ class _LineReader:
 
     def __init__(self, path):
         self.path = path
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            raw = fh.read()
-        self._lines = raw.split("\n")
+        self._lines = _decode(path).split("\n")
         if self._lines and self._lines[-1] == "":
             self._lines.pop()
         self._pos = 0
@@ -108,32 +128,55 @@ class _LineReader:
             line = self._lines[self._pos].rstrip("\r")
             self._pos += 1
             self.line_no += 1
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            return line
+            if _is_content(line):
+                return line
         return None
 
-    def record(self, line: str) -> None:
-        self.consumed.append(line)
+    def check_lines_left(self, need: int, counts: str) -> None:
+        """Reject header counts that promise more content lines than the
+        file holds, before anything is allocated for them."""
+        left = sum(map(_is_content, self._lines[self._pos:]))
+        if need > left:
+            self.fail(f"header counts ({counts}) expected {need} more lines; the file has {left}")
 
     def fail(self, reason: str):
         raise ParseError(self.path, self.line_no, reason)
 
 
 def _expect(reader: _LineReader, what: str) -> str:
+    """The next content line, recorded for the checksum."""
     line = reader.next_content_line()
     if line is None:
         raise ParseError(reader.path, reader.line_no + 1, f"unexpected end of file, expected {what}")
+    reader.consumed.append(line)
     return line
 
 
-def _parse_quat(tokens, reader: _LineReader) -> np.ndarray:
+def _read_header(reader: _LineReader, magic: str) -> None:
+    header = _expect(reader, "format header")
+    tokens = header.split()
+    if len(tokens) != 2 or tokens[0] != magic:
+        reader.fail(f"expected '{magic} <version>' header")
+    if tokens[1] != str(FORMAT_VERSION):
+        reader.fail(f"unrecognized format version {tokens[1]!r}")
+
+
+def _read_count(reader: _LineReader, name: str) -> int:
+    """The count on the next content line, which must be '<name> <count>'."""
+    line = _expect(reader, f"'{name} <count>'")
+    tokens = line.split()
+    if len(tokens) != 2 or tokens[0] != name or not re.fullmatch("[0-9]+", tokens[1]):
+        reader.fail(f"expected '{name} <count>' with a non-negative integer count")
+    return int(tokens[1])
+
+
+def _parse_quat(tokens, path, line_no: int) -> np.ndarray:
     try:
         q = np.array([float(t) for t in tokens], dtype=float)
     except ValueError:
-        reader.fail(f"malformed number in {tokens!r}")
-    if abs(np.linalg.norm(q) - 1.0) > 1e-6:
-        reader.fail("non-unit quaternion")
+        raise ParseError(path, line_no, f"malformed number in {tokens!r}") from None
+    if rotmath.not_unit_quat(q):
+        raise ParseError(path, line_no, f"non-unit quaternion {' '.join(tokens)}")
     return q
 
 
@@ -161,9 +204,9 @@ def save_env(env: RotationEnvironment, path) -> None:
     ]
     if env.ground_truth is not None:
         for i, q in enumerate(env.ground_truth_quats):
-            lines.append(f"gt {i} " + " ".join(_fmt(x) for x in q))
+            lines.append(f"gt {i} " + " ".join(format_float(x) for x in q))
     for (i, j), q in zip(env.edge_index, env.edge_quats):
-        lines.append(f"edge {i} {j} " + " ".join(_fmt(x) for x in q))
+        lines.append(f"edge {i} {j} " + " ".join(format_float(x) for x in q))
     lines.append(f"checksum {_digest(lines)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -176,32 +219,20 @@ def load_env(path) -> RotationEnvironment:
     ChecksumMismatch when the trailing digest disagrees.
     """
     reader = _LineReader(path)
-
-    header = _expect(reader, "format header")
-    tokens = header.split()
-    if len(tokens) != 2 or tokens[0] != ENV_MAGIC:
-        reader.fail(f"expected '{ENV_MAGIC} <version>' header")
-    if tokens[1] != str(FORMAT_VERSION):
-        reader.fail(f"unrecognized format version {tokens[1]!r}")
-    reader.record(header)
-
-    def _int_field(name):
-        line = _expect(reader, f"'{name} <value>'")
-        tokens = line.split()
-        if len(tokens) != 2 or tokens[0] != name or not tokens[1].lstrip("-").isdigit():
-            reader.fail(f"expected '{name} <integer>'")
-        reader.record(line)
-        return int(tokens[1])
-
-    n_nodes = _int_field("nodes")
-    has_gt = _int_field("ground-truth")
+    _read_header(reader, ENV_MAGIC)
+    n_nodes = _read_count(reader, "nodes")
+    has_gt = _read_count(reader, "ground-truth")
     if has_gt not in (0, 1):
         reader.fail("ground-truth flag must be 0 or 1")
-    n_edges = _int_field("edges")
+    n_edges = _read_count(reader, "edges")
     if n_nodes < 2:
         reader.fail("node count must be >= 2")
     if n_edges < 1:
         reader.fail("edge count must be >= 1")
+    if n_nodes > n_edges + 1:
+        reader.fail(f"node count {n_nodes} exceeds edge count {n_edges} + 1, "
+                    "so the graph cannot be connected")
+    reader.check_lines_left(n_edges + has_gt * n_nodes, f"nodes {n_nodes}, edges {n_edges}")
 
     gt = None
     if has_gt:
@@ -213,8 +244,7 @@ def load_env(path) -> RotationEnvironment:
                 reader.fail("expected 'gt <id> <w> <x> <y> <z>'")
             if tokens[1] != str(want):
                 reader.fail(f"ground-truth ids must be dense: expected {want}, got {tokens[1]!r}")
-            gt[want] = _parse_quat(tokens[2:], reader)
-            reader.record(line)
+            gt[want] = _parse_quat(tokens[2:], path, reader.line_no)
 
     edge_index = np.empty((n_edges, 2), dtype=np.int64)
     edge_quats = np.empty((n_edges, 4), dtype=float)
@@ -232,11 +262,13 @@ def load_env(path) -> RotationEnvironment:
         if i == j:
             reader.fail(f"self loop on node {i}")
         edge_index[e] = (i, j)
-        edge_quats[e] = _parse_quat(tokens[3:], reader)
-        reader.record(line)
+        edge_quats[e] = _parse_quat(tokens[3:], path, reader.line_no)
 
     _check_trailer(reader)
-    return RotationEnvironment(n_nodes, edge_index, edge_quats, ground_truth=gt)
+    try:
+        return RotationEnvironment(n_nodes, edge_index, edge_quats, ground_truth=gt)
+    except ValueError as exc:  # a duplicate pair, a disconnected graph
+        reader.fail(str(exc))
 
 
 def save_estimates(estimates: EstimateSet, path) -> None:
@@ -249,7 +281,7 @@ def save_estimates(estimates: EstimateSet, path) -> None:
         f"nodes {estimates.n_nodes}",
     ]
     for i, row in enumerate(vals):
-        lines.append(f"est {i} " + " ".join(_fmt(x) for x in row))
+        lines.append(f"est {i} " + " ".join(format_float(x) for x in row))
     lines.append(f"checksum {_digest(lines)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -288,31 +320,18 @@ def load_estimates(path) -> EstimateSet:
     disagrees.
     """
     reader = _LineReader(path)
-    header = _expect(reader, "format header")
-    tokens = header.split()
-    if len(tokens) != 2 or tokens[0] != EST_MAGIC:
-        reader.fail(f"expected '{EST_MAGIC} <version>' header")
-    if tokens[1] != str(FORMAT_VERSION):
-        reader.fail(f"unrecognized format version {tokens[1]!r}")
-    reader.record(header)
-
+    _read_header(reader, EST_MAGIC)
     line = _expect(reader, "'parameterization <name>'")
     tokens = line.split()
     if len(tokens) != 2 or tokens[0] != "parameterization":
         reader.fail("expected 'parameterization <name>'")
     param = tokens[1]
-    if param not in PARAMETERIZATIONS:
+    if param not in VALUE_SHAPES:
         reader.fail(f"unknown parameterization {param!r}")
-    reader.record(line)
+    n = _read_count(reader, "nodes")
+    reader.check_lines_left(n, f"nodes {n}")
 
-    line = _expect(reader, "'nodes <count>'")
-    tokens = line.split()
-    if len(tokens) != 2 or tokens[0] != "nodes" or not tokens[1].isdigit():
-        reader.fail("expected 'nodes <integer>'")
-    n = int(tokens[1])
-    reader.record(line)
-
-    width = {"so3_matrix": 9, "quaternion": 4, "mrp": 3}[param]
+    width = math.prod(VALUE_SHAPES[param])
     vals = np.empty((n, width), dtype=float)
     line_nos = np.empty(n, dtype=np.int64)
     for want in range(n):
@@ -325,12 +344,10 @@ def load_estimates(path) -> EstimateSet:
         except ValueError:
             reader.fail("malformed number in estimate values")
         line_nos[want] = reader.line_no
-        reader.record(line)
 
     _check_trailer(reader)
     _check_estimate_values(param, vals, line_nos, reader.path)
-    shape = {"so3_matrix": (n, 3, 3), "quaternion": (n, 4), "mrp": (n, 3)}[param]
-    return EstimateSet(param, vals.reshape(shape))
+    return EstimateSet(param, vals.reshape(n, *VALUE_SHAPES[param]))
 
 
 @dataclass
@@ -365,41 +382,17 @@ class ImportReport:
         ]
 
 
-def _project_to_rotations(mats: np.ndarray):
-    """Nearest rotations to a batch of 3x3 matrices plus Frobenius gaps.
-
-    Rows whose polar iteration cannot proceed (singular) get an infinite
-    gap rather than raising.
-    """
-    n = len(mats)
-    proj = np.empty_like(mats)
-    gap = np.full(n, np.inf)
-    dets = np.linalg.det(mats)
-    ok = np.abs(dets) > 1e-12
-
-    x = mats[ok]
-    if x.size == 0:
-        return proj, gap
-    for _ in range(_POLAR_ITERS):
-        mu = np.abs(np.linalg.det(x)) ** (-1.0 / 3.0)
-        xs = mu[:, None, None] * x
-        x_next = 0.5 * (xs + np.swapaxes(np.linalg.inv(xs), -1, -2))
-        if np.max(np.abs(x_next - x)) < 1e-14:
-            x = x_next
-            break
-        x = x_next
-
-    neg = np.linalg.det(x) < 0.0
-    if np.any(neg):
-        h = np.swapaxes(x[neg], -1, -2) @ mats[ok][neg]
-        _, vecs = np.linalg.eigh(0.5 * (h + np.swapaxes(h, -1, -2)))
-        v = vecs[..., 0]
-        refl = np.broadcast_to(np.eye(3), x[neg].shape) - 2.0 * v[:, :, None] * v[:, None, :]
-        x[neg] = x[neg] @ refl
-
-    proj[ok] = x
-    gap[ok] = np.linalg.norm((mats[ok] - x).reshape(-1, 9), axis=1)
-    return proj, gap
+def _streamed_content_lines(path):
+    """(line number, line) of each content line of a file read as a stream,
+    so that a large edge list is never held in memory whole."""
+    line_no = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                if _is_content(line):
+                    yield line_no, line
+    except UnicodeDecodeError:
+        raise ParseError(path, line_no + 1, "invalid UTF-8 at or after this line") from None
 
 
 def import_1dsfm(path, gt_path=None, strict: bool = False):
@@ -408,59 +401,59 @@ def import_1dsfm(path, gt_path=None, strict: bool = False):
     Rows are ``i j m11 m12 m13 m21 m22 m23 m31 m32 m33 [t1 t2 t3]`` with a
     row-major relative rotation satisfying R @ R_j = R_i; optional trailing
     translation columns are ignored (strict mode only accepts exactly 11
-    or 14 columns).  Matrices are re-orthonormalized by polar projection;
-    rows farther than ``IMPORT_MAX_FROBENIUS`` from their projection, self
-    loops, and duplicate unordered pairs are dropped and counted.  When a
+    or 14 columns).  Matrices are re-orthonormalized to their nearest
+    rotation (SVD); rows farther than ``IMPORT_MAX_FROBENIUS`` from it
+    (or with a non-finite entry), self loops, and duplicate unordered
+    pairs are dropped and counted.  When a
     ground-truth file (rows ``i q_w q_x q_y q_z``) is given, nodes without
     a reference rotation are dropped first so absolute errors are defined
     everywhere.  Only the largest connected component is kept.
 
     Returns (environment, ImportReport).
     """
-    raw_i: list[int] = []
-    raw_j: list[int] = []
-    raw_m: list[list[float]] = []
+    raw_ids: list[tuple[int, int]] = []
+    raw_m: list[float] = []  # the nine matrix entries of each row, in turn
     dropped_malformed = 0
     dropped_self = 0
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            if strict and len(tokens) not in (11, 14):
-                raise ParseError(path, line_no, f"expected 11 or 14 columns, got {len(tokens)}")
-            if len(tokens) < 11:
-                if strict:
-                    raise ParseError(path, line_no, f"expected 11 or 14 columns, got {len(tokens)}")
-                dropped_malformed += 1
-                continue
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-                m = [float(t) for t in tokens[2:11]]
-            except ValueError:
-                if strict:
-                    raise ParseError(path, line_no, "malformed number")
-                dropped_malformed += 1
-                continue
-            if i == j:
-                dropped_self += 1
-                continue
-            raw_i.append(i)
-            raw_j.append(j)
-            raw_m.append(m)
+    for line_no, line in _streamed_content_lines(path):
+        tokens = line.split()
+        if strict and len(tokens) not in (11, 14):
+            raise ParseError(path, line_no, f"expected 11 or 14 columns, got {len(tokens)}")
+        if len(tokens) < 11:
+            dropped_malformed += 1
+            continue
+        try:
+            i, j = int(tokens[0]), int(tokens[1])
+            m = [float(t) for t in tokens[2:11]]
+            if max(abs(i), abs(j)).bit_length() > 63:
+                raise ValueError("node id does not fit int64")
+        except ValueError:
+            if strict:
+                raise ParseError(path, line_no, "malformed number")
+            dropped_malformed += 1
+            continue
+        if i == j:
+            dropped_self += 1
+            continue
+        raw_ids.append((i, j))
+        raw_m.extend(m)
 
-    source_edges = len(raw_i) + dropped_malformed + dropped_self
-    if not raw_i:
+    source_edges = len(raw_ids) + dropped_malformed + dropped_self
+    if not raw_ids:
         raise EmptyGraph(f"{path}: no usable edge rows")
 
-    src = np.array(raw_i, dtype=np.int64)
-    dst = np.array(raw_j, dtype=np.int64)
+    src, dst = np.array(raw_ids, dtype=np.int64).T
     mats = np.array(raw_m, dtype=float).reshape(-1, 3, 3)
     source_nodes = np.unique(np.concatenate([src, dst])).size
 
-    proj, gap = _project_to_rotations(mats)
+    # np.linalg.svd raises on NaN or inf: such rows keep a zero projection,
+    # and their non-finite gap (like an overflowing one) fails the test below
+    finite = np.all(np.isfinite(mats), axis=(1, 2))
+    proj = np.zeros_like(mats)
+    proj[finite] = rotmath.nearest_rotation(mats[finite])
+    with np.errstate(over="ignore"):
+        gap = np.linalg.norm((mats - proj).reshape(-1, 9), axis=1)
     rot_ok = gap <= IMPORT_MAX_FROBENIUS
     dropped_not_rotation = int(np.count_nonzero(~rot_ok))
     src, dst, proj = src[rot_ok], dst[rot_ok], proj[rot_ok]
@@ -475,9 +468,8 @@ def import_1dsfm(path, gt_path=None, strict: bool = False):
         dropped_without_gt = 0
 
     # duplicate unordered pairs: keep the first occurrence
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    _, first = np.unique(lo * (hi.max() + 1 if hi.size else 1) + hi, return_index=True)
+    pairs = np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=1)
+    _, first = np.unique(pairs, axis=0, return_index=True)
     first = np.sort(first)
     dropped_dup = src.size - first.size
     src, dst, proj = src[first], dst[first], proj[first]
@@ -487,12 +479,9 @@ def import_1dsfm(path, gt_path=None, strict: bool = False):
 
     # largest connected component on the surviving nodes
     node_ids = np.unique(np.concatenate([src, dst]))
-    compact = {int(v): k for k, v in enumerate(node_ids)}
-    ci = np.array([compact[int(v)] for v in src], dtype=np.int64)
-    cj = np.array([compact[int(v)] for v in dst], dtype=np.int64)
-    from .envgraph import _union_find_labels
-
-    labels = _union_find_labels(node_ids.size, ci, cj)
+    ci = np.searchsorted(node_ids, src)
+    cj = np.searchsorted(node_ids, dst)
+    labels = connected_components(node_ids.size, ci, cj)
     roots, counts = np.unique(labels, return_counts=True)
     n_components = roots.size
     keep_root = roots[np.argmax(counts)]
@@ -532,25 +521,34 @@ def import_1dsfm(path, gt_path=None, strict: bool = False):
 
 def _load_gt_table(path) -> dict[int, np.ndarray]:
     table: dict[int, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 5:
-                raise ParseError(path, line_no, f"expected 'i q_w q_x q_y q_z', got {len(tokens)} columns")
-            try:
-                i = int(tokens[0])
-                q = np.array([float(t) for t in tokens[1:]], dtype=float)
-            except ValueError:
-                raise ParseError(path, line_no, "malformed number")
-            if abs(np.linalg.norm(q) - 1.0) > 1e-6:
-                raise ParseError(path, line_no, "non-unit quaternion")
-            table[i] = q
+    for line_no, line in _streamed_content_lines(path):
+        tokens = line.split()
+        if len(tokens) != 5:
+            raise ParseError(path, line_no, f"expected 'i q_w q_x q_y q_z', got {len(tokens)} columns")
+        try:
+            i = int(np.int64(tokens[0]))
+        except (ValueError, OverflowError):  # ids must fit int64
+            raise ParseError(path, line_no, "malformed node id") from None
+        table[i] = _parse_quat(tokens[1:], path, line_no)
     if not table:
         raise ParseError(path, 0, "no ground-truth rows")
     return table
+
+
+def _csv_rows(path, columns, what: str):
+    """(line number, cells) of each row of a CSV file whose header row
+    must be ``columns``; ParseError on any other header or cell count."""
+    reader = csv.reader(StringIO(_decode(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != columns:
+            raise ParseError(path, 1, f"bad or missing {what} header")
+        for row in reader:
+            if len(row) != len(columns):
+                raise ParseError(path, reader.line_num, f"expected {len(columns)} cells")
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
 
 
 def export_trace(trace, path) -> None:
@@ -560,118 +558,46 @@ def export_trace(trace, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
         for rec in trace:
-            writer.writerow(
-                [rec.step]
-                + [
-                    "" if v is None else _fmt(v)
-                    for v in (
-                        rec.ape_mean_deg,
-                        rec.ape_median_deg,
-                        rec.rel_mean_deg,
-                        rec.rel_median_deg,
-                        rec.abs_mean_deg,
-                        rec.abs_median_deg,
-                    )
-                ]
-            )
+            writer.writerow([_cell(getattr(rec, name)) for name in TRACE_COLUMNS])
 
 
 def load_trace(path) -> list[TraceRecord]:
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_COLUMNS:
-            raise ParseError(path, 1, "bad or missing trace header")
-        for line_no, row in enumerate(reader, 2):
-            if len(row) != len(TRACE_COLUMNS):
-                raise ParseError(path, line_no, f"expected {len(TRACE_COLUMNS)} cells")
-            try:
-                step = int(row[0])
-                vals = [None if cell == "" else float(cell) for cell in row[1:]]
-            except ValueError:
-                raise ParseError(path, line_no, "malformed number")
-            if vals[2] is None or vals[3] is None:
-                raise ParseError(path, line_no, "relative errors must be present")
-            if records and step < records[-1].step:
-                raise ParseError(path, line_no, "steps must be non-decreasing")
-            records.append(TraceRecord(step, *vals))
+    for line_no, row in _csv_rows(path, TRACE_COLUMNS, "trace"):
+        try:
+            step = int(row[0])
+            vals = [None if cell == "" else float(cell) for cell in row[1:]]
+        except ValueError:
+            raise ParseError(path, line_no, "malformed number")
+        if vals[2] is None or vals[3] is None:
+            raise ParseError(path, line_no, "relative errors must be present")
+        if records and step < records[-1].step:
+            raise ParseError(path, line_no, "steps must be non-decreasing")
+        records.append(TraceRecord(step, *vals))
     return records
-
-
-@dataclass
-class SummaryRow:
-    """One benchmark run's headline results (one CSV row)."""
-
-    env: str
-    algorithm: str
-    seed: int
-    nauc: float | None
-    steps_to_5deg: int | None
-    final_ape_mean_deg: float | None
-    final_ape_median_deg: float | None
-    final_rel_mean_deg: float | None
-    final_rel_median_deg: float | None
-    final_abs_mean_deg: float | None
-    final_abs_median_deg: float | None
 
 
 def export_summary(rows, path) -> None:
     """Write one row per run; a run that never crossed the convergence
-    threshold carries the literal NotConverged token."""
+    threshold carries the literal NotConverged token, and a run without
+    ground truth, whose convergence is undefined, an empty cell."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_COLUMNS)
         for row in rows:
-            if row.steps_to_5deg is not None:
-                steps = str(row.steps_to_5deg)
-            elif row.final_ape_mean_deg is not None:
-                steps = NOT_CONVERGED
-            else:
-                steps = ""  # no ground truth: convergence is undefined
-            writer.writerow(
-                [
-                    row.env,
-                    row.algorithm,
-                    str(row.seed),
-                    "" if row.nauc is None else _fmt(row.nauc),
-                    steps,
-                ]
-                + [
-                    "" if v is None else _fmt(v)
-                    for v in (
-                        row.final_ape_mean_deg,
-                        row.final_ape_median_deg,
-                        row.final_rel_mean_deg,
-                        row.final_rel_median_deg,
-                        row.final_abs_mean_deg,
-                        row.final_abs_median_deg,
-                    )
-                ]
-            )
+            cells = [_cell(getattr(row, name)) for name in SUMMARY_COLUMNS]
+            if row.steps_to_5deg is None and row.final_ape_mean_deg is not None:
+                cells[SUMMARY_COLUMNS.index("steps_to_5deg")] = NOT_CONVERGED
+            writer.writerow(cells)
 
 
 def load_summary(path) -> list[SummaryRow]:
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != SUMMARY_COLUMNS:
-            raise ParseError(path, 1, "bad or missing summary header")
-        for line_no, row in enumerate(reader, 2):
-            if len(row) != len(SUMMARY_COLUMNS):
-                raise ParseError(path, line_no, f"expected {len(SUMMARY_COLUMNS)} cells")
-            try:
-                steps_cell = row[4]
-                if steps_cell in ("", NOT_CONVERGED):
-                    steps = None
-                else:
-                    steps = int(steps_cell)
-                floats = [None if cell == "" else float(cell) for cell in row[5:]]
-                nauc_val = None if row[3] == "" else float(row[3])
-                rows.append(
-                    SummaryRow(row[0], row[1], int(row[2]), nauc_val, steps, *floats)
-                )
-            except ValueError:
-                raise ParseError(path, line_no, "malformed number")
+    for line_no, row in _csv_rows(path, SUMMARY_COLUMNS, "summary"):
+        try:
+            steps = None if row[4] in ("", NOT_CONVERGED) else int(row[4])
+            nauc, *finals = [None if cell == "" else float(cell) for cell in [row[3], *row[5:]]]
+            rows.append(SummaryRow(row[0], row[1], int(row[2]), nauc, steps, *finals))
+        except ValueError:
+            raise ParseError(path, line_no, "malformed number")
     return rows

@@ -17,8 +17,6 @@ import numpy as np
 
 from . import rotmath
 
-_POLAR_TOL = 1e-12
-_POLAR_MAX_ITERS = 100
 _RANK_TOL = 1e-9
 
 # The pairwise metric forms pair traces a panel of rows at a time, turns
@@ -72,8 +70,7 @@ def _as_matrices(estimates) -> np.ndarray:
 
 
 def _angles_deg_from_traces(traces) -> np.ndarray:
-    cos = np.clip((traces - 1.0) / 2.0, -1.0, 1.0)
-    return np.degrees(np.arccos(cos))
+    return np.degrees(rotmath.angle_from_trace(traces))
 
 
 def _pair_traces(g: np.ndarray) -> np.ndarray:
@@ -158,12 +155,9 @@ def align_gauge(estimates, ground_truth) -> np.ndarray:
     averaging objective under the edge convention R(q_i_j) R_j = R_i: a
     converged estimate set satisfies Rhat_i = R_i G for one global G, so
     the chordal-optimal S recovers G^-1 and zeroes the per-node error.
-    Computed as the special-orthogonal polar factor of
-    M = sum Rhat_i^T R_i via Newton iteration X <- (X + X^-T) / 2 with
-    determinant scaling; if the orthogonal factor is a reflection the
-    singular direction with the smallest stretch is flipped.  Raises
-    DegenerateAlignment when M is rank deficient beyond tolerance and S
-    is ambiguous.
+    Computed as the nearest rotation to M = sum Rhat_i^T R_i (see
+    rotmath.nearest_rotation).  Raises DegenerateAlignment when M is
+    zero or rank deficient beyond tolerance and S is ambiguous.
     """
     est = _as_matrices(estimates)
     gt = np.asarray(ground_truth, dtype=float)
@@ -179,28 +173,7 @@ def align_gauge(estimates, ground_truth) -> np.ndarray:
     if np.sqrt(max(sq[0], 0.0)) <= _RANK_TOL * np.sqrt(sq[-1]):
         raise DegenerateAlignment("alignment accumulator is rank deficient")
 
-    x = m
-    for _ in range(_POLAR_MAX_ITERS):
-        det = abs(np.linalg.det(x))
-        if det == 0.0:
-            raise DegenerateAlignment("alignment accumulator is singular")
-        mu = det ** (-1.0 / 3.0)
-        xs = mu * x
-        x_next = 0.5 * (xs + np.linalg.inv(xs).T)
-        if np.linalg.norm(x_next - x) < _POLAR_TOL:
-            x = x_next
-            break
-        x = x_next
-    else:
-        raise DegenerateAlignment("polar iteration did not converge")
-
-    if np.linalg.det(x) < 0.0:
-        # nearest rotation flips the weakest singular direction
-        h = x.T @ m
-        _, vecs = np.linalg.eigh(0.5 * (h + h.T))
-        v = vecs[:, 0]
-        x = x @ (np.eye(3) - 2.0 * np.outer(v, v))
-    return x
+    return rotmath.nearest_rotation(m)
 
 
 def absolute_error(estimates, ground_truth) -> tuple[float, float]:

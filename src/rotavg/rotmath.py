@@ -26,6 +26,9 @@ import numpy as np
 # stereographically projected.
 SOUTH_POLE_TOL = 1e-9
 
+# Largest deviation of a quaternion's norm from 1 accepted as a rotation.
+UNIT_QUAT_TOL = 1e-6
+
 _EXP_TAYLOR_EPS = 1e-8  # small-angle switch for exp_so3
 
 # Near-pi switch for log_so3.  arccos of a rounded trace cannot resolve
@@ -48,6 +51,13 @@ class SouthPoleSingularity(ValueError):
 def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def not_unit_quat(q) -> np.ndarray:
+    """True where q is not a unit quaternion within UNIT_QUAT_TOL; a
+    non-finite entry always counts as not unit.  The norm comes from
+    hypot, which overflows only where the norm itself would."""
+    return ~(np.abs(np.hypot.reduce(q, axis=-1) - 1.0) <= UNIT_QUAT_TOL)
 
 
 def quat_mul(a, b) -> np.ndarray:
@@ -199,11 +209,33 @@ def exp_so3(v) -> np.ndarray:
     return m
 
 
+def angle_from_trace(tr) -> np.ndarray:
+    """Rotation angle in [0, pi] (radians) of rotations with trace tr."""
+    # clip and arccos in place on the one new array, so an (N, N) input
+    # costs one more N x N array of memory rather than three
+    cos = np.asarray((tr - 1.0) / 2.0)
+    return np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos)[()]
+
+
 def rotation_angle(m) -> np.ndarray:
     """Rotation angle in [0, pi] of a rotation matrix (radians)."""
     m = np.asarray(m, dtype=float)
-    tr = m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2]
-    return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+    return angle_from_trace(m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2])
+
+
+def nearest_rotation(m) -> np.ndarray:
+    """Rotation(s) nearest in Frobenius norm to 3x3 matrices.
+
+    Batched SVD m = U S V^T gives U diag(1, 1, det U V^T) V^T: the
+    orthogonal polar factor when det m > 0, else that factor with its
+    weakest singular direction flipped.  Inputs must be finite.
+    """
+    u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    x = u @ vt
+    # U V^T is orthogonal to about 4e-16; one Newton-Schulz step brings it
+    # to about 2e-16, which is what absolute errors near zero resolve
+    return x @ (1.5 * np.eye(3) - 0.5 * np.swapaxes(x, -1, -2) @ x)
 
 
 def log_so3(m) -> np.ndarray:

@@ -1,0 +1,58 @@
+"""No rotavg module imports, or reads as an attribute, an underscore name
+of another rotavg module: what one module needs from another is public."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rotavg"
+MODULES = {p.stem for p in SRC.glob("*.py")}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _rotavg_module(node: ast.ImportFrom) -> str | None:
+    """'' for the package itself, a module name, or None if not rotavg."""
+    if node.level == 1:
+        return node.module or ""
+    if node.module == "rotavg" or (node.module or "").startswith("rotavg."):
+        return node.module[len("rotavg."):]
+    return None
+
+
+def private_uses(path: Path) -> list[str]:
+    """'line: what' for each use in ``path`` of another module's private name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    own = path.stem
+    modules = {}  # local name -> the rotavg module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (module := _rotavg_module(node)) is not None:
+            for alias in node.names:
+                if module == "" and alias.name in MODULES:
+                    modules[alias.asname or alias.name] = alias.name
+                elif module != own and _private(alias.name):
+                    found.append(f"{node.lineno}: from {module} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("rotavg.") and alias.asname:
+                    modules[alias.asname] = alias.name[len("rotavg."):]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and modules.get(node.value.id, own) != own and _private(node.attr):
+            found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    found = {p.name: private_uses(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_detects_both_kinds_of_use(tmp_path):
+    path = tmp_path / "cli.py"
+    path.write_text("from . import io as envio\nfrom .envgraph import _helper, public\n"
+                    "from . import cli\nx = envio._fmt(1.0) + envio.format_float(2.0)\n"
+                    "y = cli._own_name\n")
+    assert private_uses(path) == ["2: from envgraph import _helper", "4: envio._fmt"]
