@@ -90,13 +90,21 @@ class StepReport:
     ``updates`` is the actual increment in the algorithm's own space: the
     applied tangent vector for so3, the R^4 delta added before
     renormalization for quaternion, and the clamped, gamma-scaled MRP
-    delta.  ``antipodes`` is only populated by the mrp step.
+    delta.  ``antipodes`` is only populated by the mrp step.  Pair k is
+    node ``nodes[k]`` with its sampled neighbor ``neighbors[k]``.
     """
 
-    pairs: np.ndarray
+    nodes: np.ndarray
+    neighbors: np.ndarray
     losses: np.ndarray
     updates: np.ndarray
     antipodes: np.ndarray | None = None
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """(b, 2) sampled (node, neighbor) pairs, built only when read: the
+        ensemble loop discards every report."""
+        return np.stack([self.nodes, self.neighbors], axis=1)
 
 
 class EstimateSet:
@@ -339,9 +347,7 @@ def _step(name: str, estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> 
     x_i = x[idx]
     loss, grad, antipodes = algo.pair_grads(x_i, x[j], getattr(env, algo.targets)[sel])
     x[idx], applied = algo.apply(x_i, grad, cfg)
-    return StepReport(
-        pairs=np.stack([idx, j], axis=1), losses=loss, updates=applied, antipodes=antipodes
-    )
+    return StepReport(idx, j, loss, applied, antipodes)
 
 
 def so3_step(estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> StepReport:

@@ -111,6 +111,9 @@ class RotationEnvironment:
         if np.any(rotmath.not_unit_quat(edge_quats)):
             raise ValueError("non-unit edge quaternion")
 
+        if n > i.size + 1:  # fewer edges than a tree needs; checked before sizing by n
+            raise ValueError(f"environment graph is not connected: node count {n} "
+                             f"exceeds edge count {i.size} + 1")
         labels = connected_components(n, i, j)
         if np.unique(labels).size != 1:
             raise ValueError("environment graph is not connected")

@@ -1,11 +1,11 @@
 """Text serialization for environments, estimates, traces, and summaries,
 plus import of 1DSfM-style relative-rotation edge lists.
 
-All files are UTF-8 with LF line endings; lines starting with '#' are
-comments and ignored (they are also excluded from checksums, so annotating
-a file by hand does not invalidate it).  Floats are written with 17
-significant digits, which round-trips IEEE doubles exactly and makes
-save -> load -> save byte-identical.
+All files are written as UTF-8 with LF line endings and read as streams
+of lines; lines starting with '#' are comments and ignored (they are also
+excluded from checksums, so annotating a file by hand does not invalidate
+it).  Floats are written with 17 significant digits, which round-trips
+IEEE doubles exactly and makes save -> load -> save byte-identical.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, fields
-from io import StringIO
-from pathlib import Path
 
 import numpy as np
 
@@ -91,18 +89,26 @@ def _cell(value) -> str:
     return format_float(value) if isinstance(value, float) else str(value)
 
 
-def _decode(path) -> str:
-    """The file's text; ParseError at the line of its first non-UTF-8 byte."""
-    data = Path(path).read_bytes()
+def _streamed_lines(path, newline=None):
+    """(line number, line) of each line of a UTF-8 text file, read as a
+    stream so that no file is ever held in memory whole.  ``newline`` is
+    open()'s: by default a line ends at LF, CRLF or a lone CR and reads with
+    an LF end.  This is the one place a file is opened for reading."""
+    line_no = 0
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from None
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            for line_no, line in enumerate(fh, 1):
+                yield line_no, line
+    except UnicodeDecodeError:
+        raise ParseError(path, line_no + 1, "invalid UTF-8 at or after this line") from None
 
 
-def _digest(lines: list[str]) -> str:
+def _write_checksummed(lines: list[str], path) -> None:
+    """Write ``lines`` and then the checksum line: the SHA-256 of the UTF-8
+    of those lines, each ended by LF."""
     payload = "".join(line + "\n" for line in lines)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{payload}checksum {hashlib.sha256(payload.encode('utf-8')).hexdigest()}\n")
 
 
 def _is_content(line: str) -> bool:
@@ -110,88 +116,126 @@ def _is_content(line: str) -> bool:
     return bool(stripped) and stripped[0] != "#"
 
 
-class _LineReader:
-    """Iterates content lines of a text file, tracking line numbers and the
-    exact lines consumed (for checksum verification)."""
-
-    def __init__(self, path):
-        self.path = path
-        self._lines = _decode(path).split("\n")
-        if self._lines and self._lines[-1] == "":
-            self._lines.pop()
-        self._pos = 0
-        self.line_no = 0
-        self.consumed: list[str] = []
-
-    def next_content_line(self) -> str | None:
-        while self._pos < len(self._lines):
-            line = self._lines[self._pos].rstrip("\r")
-            self._pos += 1
-            self.line_no += 1
-            if _is_content(line):
-                return line
-        return None
-
-    def check_lines_left(self, need: int, counts: str) -> None:
-        """Reject header counts that promise more content lines than the
-        file holds, before anything is allocated for them."""
-        left = sum(map(_is_content, self._lines[self._pos:]))
-        if need > left:
-            self.fail(f"header counts ({counts}) expected {need} more lines; the file has {left}")
-
-    def fail(self, reason: str):
-        raise ParseError(self.path, self.line_no, reason)
+def _records(path, sha):
+    """(line number, line without its end) of each content line of an
+    environment or estimate file, each added to ``sha`` as it is taken, the
+    way _write_checksummed digests it; then (last line number + 1, None).
+    Lines end at LF; CRs before an LF are dropped."""
+    line_no = 0
+    for line_no, line in _streamed_lines(path, newline="\n"):
+        if _is_content(line):
+            line = line.rstrip("\r\n")
+            sha.update(line.encode("utf-8") + b"\n")
+            yield line_no, line
+    yield line_no + 1, None
 
 
-def _expect(reader: _LineReader, what: str) -> str:
-    """The next content line, recorded for the checksum."""
-    line = reader.next_content_line()
+def _read_field(records, path, tag: str, what: str, form: str) -> tuple[int, str]:
+    """(line number, value) of the next record, which must be '<tag> <value>';
+    ``form`` is the message for a line of another shape."""
+    line_no, line = next(records)
     if line is None:
-        raise ParseError(reader.path, reader.line_no + 1, f"unexpected end of file, expected {what}")
-    reader.consumed.append(line)
-    return line
-
-
-def _read_header(reader: _LineReader, magic: str) -> None:
-    header = _expect(reader, "format header")
-    tokens = header.split()
-    if len(tokens) != 2 or tokens[0] != magic:
-        reader.fail(f"expected '{magic} <version>' header")
-    if tokens[1] != str(FORMAT_VERSION):
-        reader.fail(f"unrecognized format version {tokens[1]!r}")
-
-
-def _read_count(reader: _LineReader, name: str) -> int:
-    """The count on the next content line, which must be '<name> <count>'."""
-    line = _expect(reader, f"'{name} <count>'")
+        raise ParseError(path, line_no, f"unexpected end of file, expected {what}")
     tokens = line.split()
-    if len(tokens) != 2 or tokens[0] != name or not re.fullmatch("[0-9]+", tokens[1]):
-        reader.fail(f"expected '{name} <count>' with a non-negative integer count")
-    return int(tokens[1])
+    if len(tokens) != 2 or tokens[0] != tag:
+        raise ParseError(path, line_no, form)
+    return line_no, tokens[1]
 
 
-def _parse_quat(tokens, path, line_no: int) -> np.ndarray:
+def _read_header(records, path, magic: str) -> None:
+    line_no, version = _read_field(records, path, magic, "format header",
+                                   f"expected '{magic} <version>' header")
+    if version != str(FORMAT_VERSION):
+        raise ParseError(path, line_no, f"unrecognized format version {version!r}")
+
+
+def _read_count(records, path, name: str) -> tuple[int, int]:
+    """(line number, count) of the next record, which must be '<name> <count>'."""
+    form = f"expected '{name} <count>' with a non-negative integer count"
+    line_no, count = _read_field(records, path, name, f"'{name} <count>'", form)
+    if not re.fullmatch("[0-9]+", count):
+        raise ParseError(path, line_no, form)
+    return line_no, int(count)
+
+
+def _read_rows(records, path, tag: str, count: int, n_ids: int, width: int, form: str,
+               values: str | None = None):
+    """The next ``count`` records, each '<tag> <int>×n_ids <float>×width', as
+    (ids (count, n_ids) int64, values (count, width), line numbers, lines).
+
+    Rows are gathered before anything is sized by ``count``, so a count the
+    file cannot back fails at its end.  ``form``, formatted with the row
+    index ``k``, is the message for a line of another shape, and ``values``
+    names the values of a malformed number (default: its row's tokens).  An
+    id that is not an integer or does not fit int64 reads as -1, which every
+    section's range or density check rejects at its row."""
+    ids, vals, line_nos, lines = [], [], [], []
+    for k in range(count):
+        line_no, line = next(records)
+        if line is None:
+            raise ParseError(path, line_no, f"unexpected end of file after {k} '{tag}' lines, "
+                                            f"where the header counts {count}")
+        tokens = line.split()
+        if len(tokens) != 1 + n_ids + width or tokens[0] != tag:
+            raise ParseError(path, line_no, form.format(k=k))
+        try:
+            ids += [int(t) for t in tokens[1:1 + n_ids]]
+        except ValueError:
+            ids += [-1] * n_ids
+        try:
+            vals.extend(map(float, tokens[1 + n_ids:]))
+        except ValueError:
+            raise ParseError(path, line_no, "malformed number in "
+                                            f"{values or repr(tokens[1 + n_ids:])}") from None
+        line_nos.append(line_no)
+        lines.append(line)
     try:
-        q = np.array([float(t) for t in tokens], dtype=float)
-    except ValueError:
-        raise ParseError(path, line_no, f"malformed number in {tokens!r}") from None
-    if rotmath.not_unit_quat(q):
-        raise ParseError(path, line_no, f"non-unit quaternion {' '.join(tokens)}")
-    return q
+        ids = np.array(ids, dtype=np.int64)
+    except OverflowError:
+        ids = np.array([i if -2**63 <= i < 2**63 else -1 for i in ids], dtype=np.int64)
+    vals = np.array(vals, dtype=float).reshape(count, width)
+    return ids.reshape(count, n_ids), vals, line_nos, lines
 
 
-def _check_trailer(reader: _LineReader) -> None:
-    """Verify the optional checksum line and that nothing follows it."""
-    trailer = reader.next_content_line()
-    if trailer is None:
-        return
-    tokens = trailer.split()
-    if len(tokens) != 2 or tokens[0] != "checksum":
-        reader.fail(f"unexpected trailing line {trailer!r}")
-    if tokens[1] != _digest(reader.consumed):
-        raise ChecksumMismatch(f"{reader.path}: checksum does not match content")
-    if reader.next_content_line() is not None:
-        reader.fail("content after checksum line")
+def _raise_first(path, line_nos, checks) -> None:
+    """Raise ParseError at the earliest row that a check flags, with that
+    check's message for the row.  ``checks`` pairs a boolean mask over the
+    rows with a function from row index to message; at one row the first
+    listed check wins, as it would line by line."""
+    firsts = [(int(np.argmax(bad)), c) for c, (bad, _) in enumerate(checks) if np.any(bad)]
+    if firsts:
+        k, c = min(firsts)
+        raise ParseError(path, line_nos[k], checks[c][1](k))
+
+
+def _not_dense(lines):
+    """True where a row's id is not written as its row index."""
+    return np.array([line.split(None, 2)[1] for line in lines], dtype=str) \
+        != np.arange(len(lines)).astype(str)
+
+
+def _non_unit(quats, lines):
+    """The unit-quaternion check over rows whose last four tokens are a
+    quaternion, naming those tokens as written."""
+    return (rotmath.not_unit_quat(quats),
+            lambda k: "non-unit quaternion " + " ".join(lines[k].split()[-4:]))
+
+
+def _check_trailer(records, path, sha) -> int:
+    """Verify the optional checksum line and that nothing follows it;
+    return the number of the file's last line."""
+    digest = sha.hexdigest()  # of the lines taken before the checksum line
+    line_no, trailer = next(records)
+    if trailer is not None:
+        tokens = trailer.split()
+        if len(tokens) != 2 or tokens[0] != "checksum":
+            raise ParseError(path, line_no, f"unexpected trailing line {trailer!r}")
+        if tokens[1] != digest:
+            raise ChecksumMismatch(f"{path}: checksum does not match content")
+        line_no, extra = next(records)
+        if extra is not None:
+            raise ParseError(path, line_no, "content after checksum line")
+    return line_no - 1
 
 
 def save_env(env: RotationEnvironment, path) -> None:
@@ -207,9 +251,7 @@ def save_env(env: RotationEnvironment, path) -> None:
             lines.append(f"gt {i} " + " ".join(format_float(x) for x in q))
     for (i, j), q in zip(env.edge_index, env.edge_quats):
         lines.append(f"edge {i} {j} " + " ".join(format_float(x) for x in q))
-    lines.append(f"checksum {_digest(lines)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_checksummed(lines, path)
 
 
 def load_env(path) -> RotationEnvironment:
@@ -218,57 +260,53 @@ def load_env(path) -> RotationEnvironment:
     Raises ParseError with the offending line on malformed input and
     ChecksumMismatch when the trailing digest disagrees.
     """
-    reader = _LineReader(path)
-    _read_header(reader, ENV_MAGIC)
-    n_nodes = _read_count(reader, "nodes")
-    has_gt = _read_count(reader, "ground-truth")
+    sha = hashlib.sha256()
+    records = _records(path, sha)
+    _read_header(records, path, ENV_MAGIC)
+    _, n_nodes = _read_count(records, path, "nodes")
+    line_no, has_gt = _read_count(records, path, "ground-truth")
     if has_gt not in (0, 1):
-        reader.fail("ground-truth flag must be 0 or 1")
-    n_edges = _read_count(reader, "edges")
+        raise ParseError(path, line_no, "ground-truth flag must be 0 or 1")
+    line_no, n_edges = _read_count(records, path, "edges")
     if n_nodes < 2:
-        reader.fail("node count must be >= 2")
+        raise ParseError(path, line_no, "node count must be >= 2")
     if n_edges < 1:
-        reader.fail("edge count must be >= 1")
+        raise ParseError(path, line_no, "edge count must be >= 1")
     if n_nodes > n_edges + 1:
-        reader.fail(f"node count {n_nodes} exceeds edge count {n_edges} + 1, "
-                    "so the graph cannot be connected")
-    reader.check_lines_left(n_edges + has_gt * n_nodes, f"nodes {n_nodes}, edges {n_edges}")
+        raise ParseError(path, line_no, f"node count {n_nodes} exceeds edge count {n_edges} + 1, "
+                                        "so the graph cannot be connected")
 
     gt = None
     if has_gt:
-        gt = np.empty((n_nodes, 4), dtype=float)
-        for want in range(n_nodes):
-            line = _expect(reader, f"'gt {want} ...'")
-            tokens = line.split()
-            if len(tokens) != 6 or tokens[0] != "gt":
-                reader.fail("expected 'gt <id> <w> <x> <y> <z>'")
-            if tokens[1] != str(want):
-                reader.fail(f"ground-truth ids must be dense: expected {want}, got {tokens[1]!r}")
-            gt[want] = _parse_quat(tokens[2:], path, reader.line_no)
+        _, gt, line_nos, lines = _read_rows(records, path, "gt", n_nodes, 1, 4,
+                                            "expected 'gt <id> <w> <x> <y> <z>'")
+        _raise_first(path, line_nos, [
+            (_not_dense(lines), lambda k: "ground-truth ids must be dense: "
+                                          f"expected {k}, got {lines[k].split()[1]!r}"),
+            _non_unit(gt, lines),
+        ])
 
-    edge_index = np.empty((n_edges, 2), dtype=np.int64)
-    edge_quats = np.empty((n_edges, 4), dtype=float)
-    for e in range(n_edges):
-        line = _expect(reader, "'edge <i> <j> <w> <x> <y> <z>'")
-        tokens = line.split()
-        if len(tokens) != 7 or tokens[0] != "edge":
-            reader.fail("expected 'edge <i> <j> <w> <x> <y> <z>'")
+    edge_index, edge_quats, line_nos, lines = _read_rows(
+        records, path, "edge", n_edges, 2, 4, "expected 'edge <i> <j> <w> <x> <y> <z>'")
+    i, j = edge_index.T
+
+    def bad_endpoint(k):  # -1 stands for an endpoint that is no integer or beyond int64
         try:
-            i, j = int(tokens[1]), int(tokens[2])
+            return "edge endpoint out of range: ({}, {})".format(*map(int, lines[k].split()[1:3]))
         except ValueError:
-            reader.fail("malformed edge endpoint")
-        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
-            reader.fail(f"edge endpoint out of range: ({i}, {j})")
-        if i == j:
-            reader.fail(f"self loop on node {i}")
-        edge_index[e] = (i, j)
-        edge_quats[e] = _parse_quat(tokens[3:], path, reader.line_no)
+            return "malformed edge endpoint"
 
-    _check_trailer(reader)
+    _raise_first(path, line_nos, [
+        ((i < 0) | (i >= n_nodes) | (j < 0) | (j >= n_nodes), bad_endpoint),
+        (i == j, lambda k: f"self loop on node {i[k]}"),
+        _non_unit(edge_quats, lines),
+    ])
+
+    last_line = _check_trailer(records, path, sha)
     try:
         return RotationEnvironment(n_nodes, edge_index, edge_quats, ground_truth=gt)
     except ValueError as exc:  # a duplicate pair, a disconnected graph
-        reader.fail(str(exc))
+        raise ParseError(path, last_line, str(exc)) from None
 
 
 def save_estimates(estimates: EstimateSet, path) -> None:
@@ -282,34 +320,27 @@ def save_estimates(estimates: EstimateSet, path) -> None:
     ]
     for i, row in enumerate(vals):
         lines.append(f"est {i} " + " ".join(format_float(x) for x in row))
-    lines.append(f"checksum {_digest(lines)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_checksummed(lines, path)
 
 
-def _check_estimate_values(param, vals, line_nos, path) -> None:
-    """Raise ParseError at the first node whose values are not a usable
-    rotation: non-finite, a quaternion of zero or overflowing norm, an
-    MRP whose squared norm overflows, or a matrix farther than
-    EST_MAX_GRAM_ERROR from orthonormal or with determinant <= 0."""
+def _estimate_faults(param, vals):
+    """(mask, reason) of the nodes whose values are not a usable rotation:
+    non-finite, a quaternion of zero or overflowing norm, an MRP whose
+    squared norm overflows, or a matrix farther than EST_MAX_GRAM_ERROR
+    from orthonormal or with determinant <= 0."""
     if param == "so3_matrix":
         mats = vals.reshape(-1, 3, 3)
         with np.errstate(invalid="ignore", over="ignore"):
             gram = np.swapaxes(mats, -1, -2) @ mats - np.eye(3)
             ok = (np.max(np.abs(gram), axis=(1, 2)) <= EST_MAX_GRAM_ERROR) \
                 & (np.linalg.det(mats) > 0.0)
-        reason = f"is not a rotation matrix (tolerance {EST_MAX_GRAM_ERROR:g})"
-    else:
-        with np.errstate(over="ignore"):
-            norm2 = np.sum(vals * vals, axis=1)
-        ok = np.isfinite(norm2)
-        reason = "has a non-finite value or norm"
-        if param == "quaternion":
-            ok &= norm2 > 0.0
-            reason = "is a zero quaternion or has a non-finite value or norm"
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise ParseError(path, int(line_nos[bad[0]]), f"estimate for node {bad[0]} {reason}")
+        return ~ok, f"is not a rotation matrix (tolerance {EST_MAX_GRAM_ERROR:g})"
+    with np.errstate(over="ignore"):
+        norm2 = np.sum(vals * vals, axis=1)
+    ok = np.isfinite(norm2)
+    if param == "quaternion":
+        return ~(ok & (norm2 > 0.0)), "is a zero quaternion or has a non-finite value or norm"
+    return ~ok, "has a non-finite value or norm"
 
 
 def load_estimates(path) -> EstimateSet:
@@ -319,34 +350,25 @@ def load_estimates(path) -> EstimateSet:
     malformed input and ChecksumMismatch when the trailing digest
     disagrees.
     """
-    reader = _LineReader(path)
-    _read_header(reader, EST_MAGIC)
-    line = _expect(reader, "'parameterization <name>'")
-    tokens = line.split()
-    if len(tokens) != 2 or tokens[0] != "parameterization":
-        reader.fail("expected 'parameterization <name>'")
-    param = tokens[1]
+    sha = hashlib.sha256()
+    records = _records(path, sha)
+    _read_header(records, path, EST_MAGIC)
+    line_no, param = _read_field(records, path, "parameterization", "'parameterization <name>'",
+                                 "expected 'parameterization <name>'")
     if param not in VALUE_SHAPES:
-        reader.fail(f"unknown parameterization {param!r}")
-    n = _read_count(reader, "nodes")
-    reader.check_lines_left(n, f"nodes {n}")
+        raise ParseError(path, line_no, f"unknown parameterization {param!r}")
+    _, n = _read_count(records, path, "nodes")
 
     width = math.prod(VALUE_SHAPES[param])
-    vals = np.empty((n, width), dtype=float)
-    line_nos = np.empty(n, dtype=np.int64)
-    for want in range(n):
-        line = _expect(reader, f"'est {want} ...'")
-        tokens = line.split()
-        if len(tokens) != 2 + width or tokens[0] != "est" or tokens[1] != str(want):
-            reader.fail(f"expected 'est {want}' with {width} values")
-        try:
-            vals[want] = [float(t) for t in tokens[2:]]
-        except ValueError:
-            reader.fail("malformed number in estimate values")
-        line_nos[want] = reader.line_no
-
-    _check_trailer(reader)
-    _check_estimate_values(param, vals, line_nos, reader.path)
+    form = f"expected 'est {{k}}' with {width} values"
+    _, vals, line_nos, lines = _read_rows(records, path, "est", n, 1, width, form,
+                                          "estimate values")
+    bad, reason = _estimate_faults(param, vals)
+    _raise_first(path, line_nos, [
+        (_not_dense(lines), lambda k: form.format(k=k)),
+        (bad, lambda k: f"estimate for node {k} {reason}"),
+    ])
+    _check_trailer(records, path, sha)
     return EstimateSet(param, vals.reshape(n, *VALUE_SHAPES[param]))
 
 
@@ -382,19 +404,6 @@ class ImportReport:
         ]
 
 
-def _streamed_content_lines(path):
-    """(line number, line) of each content line of a file read as a stream,
-    so that a large edge list is never held in memory whole."""
-    line_no = 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if _is_content(line):
-                    yield line_no, line
-    except UnicodeDecodeError:
-        raise ParseError(path, line_no + 1, "invalid UTF-8 at or after this line") from None
-
-
 def import_1dsfm(path, gt_path=None, strict: bool = False):
     """Build an environment from a whitespace-delimited edge list.
 
@@ -416,7 +425,9 @@ def import_1dsfm(path, gt_path=None, strict: bool = False):
     dropped_malformed = 0
     dropped_self = 0
 
-    for line_no, line in _streamed_content_lines(path):
+    for line_no, line in _streamed_lines(path):
+        if not _is_content(line):
+            continue
         tokens = line.split()
         if strict and len(tokens) not in (11, 14):
             raise ParseError(path, line_no, f"expected 11 or 14 columns, got {len(tokens)}")
@@ -520,25 +531,34 @@ def import_1dsfm(path, gt_path=None, strict: bool = False):
 
 
 def _load_gt_table(path) -> dict[int, np.ndarray]:
-    table: dict[int, np.ndarray] = {}
-    for line_no, line in _streamed_content_lines(path):
+    ids, quats, line_nos, lines = [], [], [], []
+    for line_no, line in _streamed_lines(path):
+        if not _is_content(line):
+            continue
         tokens = line.split()
         if len(tokens) != 5:
             raise ParseError(path, line_no, f"expected 'i q_w q_x q_y q_z', got {len(tokens)} columns")
         try:
-            i = int(np.int64(tokens[0]))
+            ids.append(int(np.int64(tokens[0])))
         except (ValueError, OverflowError):  # ids must fit int64
             raise ParseError(path, line_no, "malformed node id") from None
-        table[i] = _parse_quat(tokens[1:], path, line_no)
-    if not table:
+        try:
+            quats.append([float(t) for t in tokens[1:]])
+        except ValueError:
+            raise ParseError(path, line_no, f"malformed number in {tokens[1:]!r}") from None
+        line_nos.append(line_no)
+        lines.append(line)
+    if not ids:
         raise ParseError(path, 0, "no ground-truth rows")
-    return table
+    quats = np.array(quats)
+    _raise_first(path, line_nos, [_non_unit(quats, lines)])
+    return dict(zip(ids, quats))
 
 
 def _csv_rows(path, columns, what: str):
     """(line number, cells) of each row of a CSV file whose header row
     must be ``columns``; ParseError on any other header or cell count."""
-    reader = csv.reader(StringIO(_decode(path), newline=""))
+    reader = csv.reader(line for _, line in _streamed_lines(path, newline=""))
     try:
         header = next(reader, None)
         if header is None or tuple(header) != columns:

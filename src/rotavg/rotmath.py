@@ -115,69 +115,33 @@ def matrix_to_quat(m) -> np.ndarray:
     """Rotation matrix to unit quaternion, canonicalized to w >= 0.
 
     Shepperd's method: branch on the largest of the trace and the diagonal
-    entries so the divisor is always well away from zero.
+    entries so the divisor is always well away from zero.  Row p of the
+    symmetric table below is 4 q_p q, so the pivot row divided by
+    s = 4 |q_p| gives q, whose pivot entry is s / 4.
     """
     m = np.asarray(m, dtype=float)
     m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
     tr = m00 + m11 + m22
+    pivot = np.asarray(np.argmax(np.stack([tr, m00, m11, m22], axis=-1), axis=-1))
 
-    # Pick the pivot with the largest of trace / diagonal entries.
-    cand = np.stack([tr, m00, m11, m22], axis=-1)
-    pivot = np.asarray(np.argmax(cand, axis=-1))
+    # batch axes last, so that each entry is written contiguously
+    t = np.empty((4, 4) + tr.shape, dtype=float)
+    t[0, 0] = 1.0 + tr
+    t[1, 1] = 1.0 + m00 - m11 - m22
+    t[2, 2] = 1.0 - m00 + m11 - m22
+    t[3, 3] = 1.0 - m00 - m11 + m22
+    t[0, 1] = t[1, 0] = m[..., 2, 1] - m[..., 1, 2]
+    t[0, 2] = t[2, 0] = m[..., 0, 2] - m[..., 2, 0]
+    t[0, 3] = t[3, 0] = m[..., 1, 0] - m[..., 0, 1]
+    t[1, 2] = t[2, 1] = m[..., 0, 1] + m[..., 1, 0]
+    t[1, 3] = t[3, 1] = m[..., 0, 2] + m[..., 2, 0]
+    t[2, 3] = t[3, 2] = m[..., 1, 2] + m[..., 2, 1]
 
-    # w pivot
-    s = np.sqrt(np.maximum(1.0 + tr, 0.0)) * 2.0
+    row = np.moveaxis(np.take_along_axis(t, pivot[None, None], axis=0)[0], 0, -1)
+    s = np.sqrt(np.maximum(np.take_along_axis(row, pivot[..., None], axis=-1), 0.0)) * 2.0
     s = np.where(s == 0.0, 1.0, s)
-    qw = np.stack(
-        [
-            0.25 * s,
-            (m[..., 2, 1] - m[..., 1, 2]) / s,
-            (m[..., 0, 2] - m[..., 2, 0]) / s,
-            (m[..., 1, 0] - m[..., 0, 1]) / s,
-        ],
-        axis=-1,
-    )
-    # x pivot
-    s = np.sqrt(np.maximum(1.0 + m00 - m11 - m22, 0.0)) * 2.0
-    s = np.where(s == 0.0, 1.0, s)
-    qx = np.stack(
-        [
-            (m[..., 2, 1] - m[..., 1, 2]) / s,
-            0.25 * s,
-            (m[..., 0, 1] + m[..., 1, 0]) / s,
-            (m[..., 0, 2] + m[..., 2, 0]) / s,
-        ],
-        axis=-1,
-    )
-    # y pivot
-    s = np.sqrt(np.maximum(1.0 - m00 + m11 - m22, 0.0)) * 2.0
-    s = np.where(s == 0.0, 1.0, s)
-    qy = np.stack(
-        [
-            (m[..., 0, 2] - m[..., 2, 0]) / s,
-            (m[..., 0, 1] + m[..., 1, 0]) / s,
-            0.25 * s,
-            (m[..., 1, 2] + m[..., 2, 1]) / s,
-        ],
-        axis=-1,
-    )
-    # z pivot
-    s = np.sqrt(np.maximum(1.0 - m00 - m11 + m22, 0.0)) * 2.0
-    s = np.where(s == 0.0, 1.0, s)
-    qz = np.stack(
-        [
-            (m[..., 1, 0] - m[..., 0, 1]) / s,
-            (m[..., 0, 2] + m[..., 2, 0]) / s,
-            (m[..., 1, 2] + m[..., 2, 1]) / s,
-            0.25 * s,
-        ],
-        axis=-1,
-    )
-
-    choices = np.stack([qw, qx, qy, qz], axis=0)
-    q = np.take_along_axis(
-        choices, pivot[None, ..., None], axis=0
-    )[0]
+    q = row / s
+    np.put_along_axis(q, pivot[..., None], 0.25 * s, axis=-1)
     q = q / np.linalg.norm(q, axis=-1, keepdims=True)
     return q * np.where(q[..., :1] < 0.0, -1.0, 1.0)
 

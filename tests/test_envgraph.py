@@ -148,6 +148,11 @@ class TestEnvironmentValidation:
         with pytest.raises(ValueError, match="not connected"):
             RotationEnvironment(4, [[0, 1], [2, 3]], self.quats[:2])
 
+    def test_node_count_beyond_edges_named_before_allocation(self):
+        # numpy refuses an 8 TB arange at once, so a missing check fails fast
+        with pytest.raises(ValueError, match=f"node count {10**12} exceeds edge count 1 "):
+            RotationEnvironment(10**12, [[0, 1]], [[1.0, 0.0, 0.0, 0.0]])
+
     def test_rejects_non_unit_quaternion(self):
         bad = self.quats[:2].copy()
         bad[0] *= 0.9

@@ -396,3 +396,91 @@ class TestRandomEnvRoundTrips:
         envio.save_env(env, p1)
         envio.save_env(envio.load_env(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestStreamedReading:
+    """Every reader takes its lines from one stream, gathers a section's
+    rows, then checks their values together."""
+
+    def saved(self, tmp_path):
+        path = tmp_path / "env.txt"
+        envio.save_env(make_env(8), path)
+        return path
+
+    def test_crlf_copy_loads_equal_arrays(self, tmp_path):
+        path = self.saved(tmp_path)
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = envio.load_env(path), envio.load_env(crlf)  # the checksum verifies on both
+        assert np.array_equal(a.edge_index, b.edge_index)
+        assert np.array_equal(a.edge_quats, b.edge_quats)
+        assert np.array_equal(a.ground_truth_quats, b.ground_truth_quats)
+
+    @pytest.mark.parametrize("kind", ["env", "estimates", "summary"])
+    def test_invalid_utf8_is_parse_error(self, tmp_path, kind):
+        path = tmp_path / kind
+        if kind == "env":
+            envio.save_env(make_env(8), path)
+            load = envio.load_env
+        elif kind == "estimates":
+            envio.save_estimates(EstimateSet.identity(5, "mrp"), path)
+            load = envio.load_estimates
+        else:
+            envio.export_summary([envio.SummaryRow("env.txt", "mrp", seed, 5.0, 200, 1.0, 0.5,
+                                                   0.25, 0.2, 0.9, 0.4) for seed in range(3)], path)
+            load = envio.load_summary
+        lines = path.read_bytes().split(b"\n")
+        lines[2] += b" \xff"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(envio.ParseError, match="invalid UTF-8") as err:
+            load(path)
+        assert 1 <= err.value.line_no <= 3
+
+    def edge_lines(self, tmp_path):
+        lines = [l for l in self.saved(tmp_path).read_text().splitlines()
+                 if not l.startswith("checksum")]
+        return lines, [k for k, l in enumerate(lines) if l.startswith("edge ")]
+
+    def test_non_unit_quaternion_on_last_edge_names_its_line(self, tmp_path):
+        lines, edges = self.edge_lines(tmp_path)
+        tokens = lines[edges[-1]].split()
+        lines[edges[-1]] = " ".join(tokens[:3] + ["0.5"] * 3 + ["0.25"])
+        path = tmp_path / "bad.txt"
+        write_lines(path, lines)
+        with pytest.raises(envio.ParseError, match="non-unit quaternion 0.5 0.5 0.5 0.25") as err:
+            envio.load_env(path)
+        assert err.value.line_no == edges[-1] + 1
+
+    def test_two_value_faults_name_the_earlier_line(self, tmp_path):
+        lines, edges = self.edge_lines(tmp_path)
+        late = lines[edges[5]].split()
+        lines[edges[5]] = " ".join(late[:1] + ["0", "0"] + late[3:])  # self loop
+        early = lines[edges[2]].split()
+        lines[edges[2]] = " ".join(early[:3] + ["2", "0", "0", "0"])  # non-unit
+        path = tmp_path / "bad.txt"
+        write_lines(path, lines)
+        with pytest.raises(envio.ParseError, match="non-unit quaternion") as err:
+            envio.load_env(path)
+        assert err.value.line_no == edges[2] + 1
+
+    def test_edge_id_beyond_int64_is_parse_error(self, tmp_path):
+        lines, edges = self.edge_lines(tmp_path)
+        tokens = lines[edges[0]].split()
+        lines[edges[0]] = " ".join(tokens[:1] + ["99999999999999999999999"] + tokens[2:])
+        path = tmp_path / "big.txt"
+        write_lines(path, lines)
+        with pytest.raises(envio.ParseError,
+                           match=r"out of range: \(99999999999999999999999, ") as err:
+            envio.load_env(path)
+        assert err.value.line_no == edges[0] + 1
+
+    def test_cr_only_edge_list_imports_like_its_lf_copy(self, tmp_path, rng):
+        gt = rotmath.quat_to_matrix(random_quats(rng, 4))
+        rows = [eg_line(i, j, gt[i] @ gt[j].T) for i, j in ((0, 1), (1, 2), (2, 3), (0, 3))]
+        lf, cr = tmp_path / "lf.txt", tmp_path / "cr.txt"
+        write_lines(lf, rows)
+        cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+        (a, report_a), (b, report_b) = envio.import_1dsfm(lf), envio.import_1dsfm(cr)
+        assert report_a == report_b and report_a.kept_edges == 4
+        assert np.array_equal(a.edge_index, b.edge_index)
+        assert np.array_equal(a.edge_quats, b.edge_quats)

@@ -1,5 +1,6 @@
 """No rotavg module imports, or reads as an attribute, an underscore name
-of another rotavg module: what one module needs from another is public."""
+of another rotavg module: what one module needs from another is public.
+And io reads every file it loads through one line source."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,45 @@ def test_detects_both_kinds_of_use(tmp_path):
                     "from . import cli\nx = envio._fmt(1.0) + envio.format_float(2.0)\n"
                     "y = cli._own_name\n")
     assert private_uses(path) == ["2: from envgraph import _helper", "4: envio._fmt"]
+
+
+LINE_SOURCE = "_streamed_lines"
+
+
+def file_readers(path: Path) -> set[str]:
+    """Names of the functions in ``path`` that open a file for reading
+    (``open`` or ``Path.open`` without a write, append or create mode) or
+    call ``read_text`` or ``read_bytes``."""
+    readers = set()
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func.attr if isinstance(node.func, ast.Attribute) else \
+                getattr(node.func, "id", None)
+            if callee in ("read_text", "read_bytes"):
+                readers.add(func.name)
+            elif callee == "open":
+                args = node.args[1:] if isinstance(node.func, ast.Name) else node.args
+                mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                            args[0] if args else None)
+                if not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax")):
+                    readers.add(func.name)
+    return readers
+
+
+def test_io_reads_files_only_through_its_line_source():
+    assert file_readers(SRC / "io.py") == {LINE_SOURCE}
+
+
+def test_detects_every_kind_of_read(tmp_path):
+    path = tmp_path / "io.py"
+    path.write_text("def _streamed_lines(p):\n    return open(p, 'r')\n"
+                    "def a(p):\n    return open(p)\n"
+                    "def b(p):\n    return p.open(mode='rb')\n"
+                    "def c(p):\n    return p.read_text()\n"
+                    "def d(p):\n    return p.read_bytes()\n"
+                    "def w(p):\n    return open(p, 'w'), p.open('a'), open(p, mode='x')\n")
+    assert file_readers(path) == {"_streamed_lines", "a", "b", "c", "d"}

@@ -178,6 +178,15 @@ class TestConversions:
         q = rotmath.matrix_to_quat(random_matrices(rng, 500))
         assert np.all(q[:, 0] >= 0.0)
 
+    def test_matrix_to_quat_each_pivot(self):
+        # the identity pivots on the trace, a half turn about an axis on
+        # that axis's diagonal entry; each is exact in floating point
+        mats = np.stack([np.eye(3), np.diag([1.0, -1.0, -1.0]),
+                         np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])])
+        assert np.array_equal(rotmath.matrix_to_quat(mats), np.eye(4))
+        for m, q in zip(mats, np.eye(4)):
+            assert np.array_equal(rotmath.matrix_to_quat(m), q)
+
     def test_conjugate_inverts(self, rng):
         q = random_quats(rng, 50)
         m = rotmath.quat_to_matrix(q)
