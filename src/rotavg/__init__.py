@@ -26,7 +26,6 @@ from .envgraph import (
     neighborhood_of,
 )
 from .metrics import (
-    ConvergenceSummary,
     DegenerateAlignment,
     TraceRecord,
     absolute_error,

@@ -52,7 +52,7 @@ class OptimizerConfig:
     gamma is the learning rate; eta caps the norm of an MRP pair gradient
     before it is scaled by gamma (clamp first, then scale).  ``init``
     selects identity or Haar-random initial estimates; the Haar draw
-    comes from the run seed unless ``init_seed`` is given.
+    comes from the run seed.
     """
 
     algorithm: str
@@ -63,7 +63,6 @@ class OptimizerConfig:
     seed: int = 0
     checkpoint_every: int = 1000
     init: str = "haar"
-    init_seed: int | None = None
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -375,15 +374,13 @@ STEP_FUNCTIONS = {
 def initial_estimates(env, cfg: OptimizerConfig, rng=None) -> EstimateSet:
     """Initial EstimateSet in the algorithm's parameterization.
 
-    Haar draws come from ``init_seed`` when set, else from the supplied
-    generator (the run stream), else from a fresh generator on cfg.seed.
+    Haar draws come from the supplied generator (the run stream), else
+    from a fresh generator on cfg.seed.
     """
     param = PARAM_FOR_ALGORITHM[cfg.algorithm]
     if cfg.init == "identity":
         return EstimateSet.identity(env.n_nodes, param)
-    if cfg.init_seed is not None:
-        rng = np.random.default_rng([cfg.init_seed, _RUN_STREAM])
-    elif rng is None:
+    if rng is None:
         rng = np.random.default_rng([cfg.seed, _RUN_STREAM])
     quats = rotmath.sample_uniform_rotation(rng, env.n_nodes)
     return EstimateSet.from_quaternions(quats, param)

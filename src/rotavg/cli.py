@@ -121,14 +121,16 @@ def _build_config(algo_token: str, args_like: dict) -> OptimizerConfig:
     return cfg
 
 
-def _summary_row(env_label, algo_token, cfg, trace) -> envio.SummaryRow:
-    summ = metrics.summarize(trace)
-    # each final_<metric> column is <metric> of the trace's last record
+def _record_run(out_dir, env_label, algo_token, cfg, trace) -> envio.SummaryRow:
+    """Write a run's trace to ``out_dir`` as trace_<algo>_<seed>.csv and
+    return the run's summary row."""
+    envio.export_trace(trace, Path(out_dir) / f"trace_{algo_token}_{cfg.seed}.csv")
+    # nAUC needs ground truth; each final_<metric> column is <metric> of the last record
+    nauc = metrics.nauc(trace) if trace[-1].ape_mean_deg is not None else None
     finals = [getattr(trace[-1], name.removeprefix("final_"))
               for name in envio.SUMMARY_COLUMNS if name.startswith("final_")]
-    return envio.SummaryRow(
-        env_label, algo_token, cfg.seed, summ.nauc, summ.steps_to_5deg, *finals
-    )
+    return envio.SummaryRow(env_label, algo_token, cfg.seed, nauc,
+                            metrics.steps_to_threshold(trace), *finals)
 
 
 def cmd_gen(args) -> int:
@@ -161,9 +163,7 @@ def cmd_run(args) -> int:
 
     estimates, trace = run_averaging(env, cfg)
 
-    trace_path = Path(args.out) / f"trace_{args.algo}_{args.seed}.csv"
-    envio.export_trace(trace, trace_path)
-    row = _summary_row(args.env, args.algo, cfg, trace)
+    row = _record_run(args.out, args.env, args.algo, cfg, trace)
     envio.export_summary([row], Path(args.out) / "summary.csv")
     if args.save_estimates:
         envio.save_estimates(
@@ -193,12 +193,9 @@ def _bench_ensemble(algo_token, envs, cfgs, sources, cell_dirs):
     every optimization loop of the CLI is one call of that name (the
     traced benchmark run counts and times loops there).
     """
-    rows = []
     results = run_averaging(envs, cfgs)
-    for (_, trace), cfg, source, cell_dir in zip(results, cfgs, sources, cell_dirs):
-        envio.export_trace(trace, Path(cell_dir) / f"trace_{algo_token}_{cfg.seed}.csv")
-        rows.append(_summary_row(source, algo_token, cfg, trace))
-    return rows
+    return [_record_run(cell_dir, source, algo_token, cfg, trace)
+            for (_, trace), cfg, source, cell_dir in zip(results, cfgs, sources, cell_dirs)]
 
 
 def _ensemble_outcome(task):
@@ -227,11 +224,14 @@ def _parse_seeds(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(part))
+        try:
+            lo, hi = map(int, part.split("-")) if "-" in part else (int(part), int(part))
+        except ValueError:
+            raise UsageError(f"bad seed {part!r} (want a non-negative integer "
+                             "or a range lo-hi)") from None
+        if hi < lo:
+            raise UsageError(f"seed range {part!r} runs backwards")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
         raise UsageError("empty seed list")
     return seeds
@@ -279,8 +279,8 @@ def aggregate_rows(rows, max_iters: int):
                 "nauc_mean": float(np.mean(naucs)) if naucs else None,
                 "nauc_max": float(np.max(naucs)) if naucs else None,
                 "nauc_min": float(np.min(naucs)) if naucs else None,
-                "final_mean": float(np.mean(finals)) if finals else None,
-                "final_median": float(np.median(finals)) if finals else None,
+                "final_mean_deg": float(np.mean(finals)) if finals else None,
+                "final_median_deg": float(np.median(finals)) if finals else None,
             }
         )
     return milestones, out
@@ -294,10 +294,9 @@ def _fmt_cell(value, kind="f"):
     return f"{value:.4g}"
 
 
-# aggregate columns after the milestones: header -> aggregate_rows key
-_AGG_COLUMNS = {"steps_mean": "steps_mean", "steps_max": "steps_max", "steps_min": "steps_min",
-                "nauc_mean": "nauc_mean", "nauc_max": "nauc_max", "nauc_min": "nauc_min",
-                "final_mean_deg": "final_mean", "final_median_deg": "final_median"}
+# aggregate columns after the milestones, each an aggregate_rows key
+_AGG_COLUMNS = ("steps_mean", "steps_max", "steps_min", "nauc_mean", "nauc_max", "nauc_min",
+                "final_mean_deg", "final_median_deg")
 
 
 def render_aggregate(milestones, stats, max_iters: int):
@@ -309,7 +308,7 @@ def render_aggregate(milestones, stats, max_iters: int):
             [s["algorithm"], str(s["runs"])]
             + [f"{s['conv_pct'][m]:.0f}%" for m in milestones]
             + [_fmt_cell(s[key], "steps" if key in ("steps_max", "steps_min") else "f")
-               for key in _AGG_COLUMNS.values()]
+               for key in _AGG_COLUMNS]
         )
     widths = [
         max(len(headers[c]), *(len(row[c]) for row in table)) if table else len(headers[c])
@@ -498,6 +497,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    if args.iters < 0:
+        raise UsageError(f"--iters must be >= 0, got {args.iters}")
     rows = envio.load_summary(args.summary)
     os.makedirs(args.out, exist_ok=True)
     _write_aggregate(rows, args.iters, args.out)

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -77,13 +77,16 @@ class EmptyGraph(ValueError):
     """An import yielded no usable edges."""
 
 
+# 17 significant digits: round-trips an IEEE double exactly
+_FLOAT = "%.17g"
+
+
 def format_float(x: float) -> str:
-    """17 significant digits: round-trips an IEEE double exactly."""
-    return format(float(x), ".17g")
+    return _FLOAT % float(x)
 
 
 def _cell(value) -> str:
-    """A CSV cell: empty for None, format_float for a float."""
+    """A CSV cell: empty for None, format_float for a float, else str."""
     if value is None:
         return ""
     return format_float(value) if isinstance(value, float) else str(value)
@@ -172,7 +175,7 @@ def _read_rows(records, path, tag: str, count: int, n_ids: int, width: int, form
     ids, vals, line_nos, lines = [], [], [], []
     for k in range(count):
         line_no, line = next(records)
-        if line is None:
+        if line is None or line.split(None, 1)[0] == "checksum":  # content ends short of count
             raise ParseError(path, line_no, f"unexpected end of file after {k} '{tag}' lines, "
                                             f"where the header counts {count}")
         tokens = line.split()
@@ -195,6 +198,13 @@ def _read_rows(records, path, tag: str, count: int, n_ids: int, width: int, form
         ids = np.array([i if -2**63 <= i < 2**63 else -1 for i in ids], dtype=np.int64)
     vals = np.array(vals, dtype=float).reshape(count, width)
     return ids.reshape(count, n_ids), vals, line_nos, lines
+
+
+def _rows(tag: str, ids, values) -> list[str]:
+    """The lines '<tag> <int>×n_ids <float>×width' that _read_rows reads,
+    one per row of ``ids`` (count, n_ids) and ``values`` (count, width)."""
+    template = " ".join([tag] + ["%d"] * ids.shape[1] + [_FLOAT] * values.shape[1])
+    return [template % (*i, *v) for i, v in zip(ids.tolist(), values.tolist())]
 
 
 def _raise_first(path, line_nos, checks) -> None:
@@ -247,10 +257,8 @@ def save_env(env: RotationEnvironment, path) -> None:
         f"edges {env.n_edges}",
     ]
     if env.ground_truth is not None:
-        for i, q in enumerate(env.ground_truth_quats):
-            lines.append(f"gt {i} " + " ".join(format_float(x) for x in q))
-    for (i, j), q in zip(env.edge_index, env.edge_quats):
-        lines.append(f"edge {i} {j} " + " ".join(format_float(x) for x in q))
+        lines += _rows("gt", np.arange(env.n_nodes)[:, None], env.ground_truth_quats)
+    lines += _rows("edge", env.edge_index, env.edge_quats)
     _write_checksummed(lines, path)
 
 
@@ -312,14 +320,13 @@ def load_env(path) -> RotationEnvironment:
 def save_estimates(estimates: EstimateSet, path) -> None:
     """Write an estimate set; values are stored verbatim per
     parameterization (4, 3, or 9 numbers per node)."""
-    vals = estimates.values.reshape(estimates.n_nodes, -1)
+    n = estimates.n_nodes
     lines = [
         f"{EST_MAGIC} {FORMAT_VERSION}",
         f"parameterization {estimates.parameterization}",
-        f"nodes {estimates.n_nodes}",
+        f"nodes {n}",
     ]
-    for i, row in enumerate(vals):
-        lines.append(f"est {i} " + " ".join(format_float(x) for x in row))
+    lines += _rows("est", np.arange(n)[:, None], estimates.values.reshape(n, -1))
     _write_checksummed(lines, path)
 
 
@@ -531,7 +538,7 @@ def import_1dsfm(path, gt_path=None, strict: bool = False):
 
 
 def _load_gt_table(path) -> dict[int, np.ndarray]:
-    ids, quats, line_nos, lines = [], [], [], []
+    line_of, quats, lines = {}, [], []  # line_of: node id -> the line that lists it
     for line_no, line in _streamed_lines(path):
         if not _is_content(line):
             continue
@@ -539,20 +546,23 @@ def _load_gt_table(path) -> dict[int, np.ndarray]:
         if len(tokens) != 5:
             raise ParseError(path, line_no, f"expected 'i q_w q_x q_y q_z', got {len(tokens)} columns")
         try:
-            ids.append(int(np.int64(tokens[0])))
+            node = int(np.int64(tokens[0]))
         except (ValueError, OverflowError):  # ids must fit int64
             raise ParseError(path, line_no, "malformed node id") from None
+        if node in line_of:
+            raise ParseError(path, line_no, f"node {node} is listed again "
+                                            f"(first at line {line_of[node]})")
+        line_of[node] = line_no
         try:
             quats.append([float(t) for t in tokens[1:]])
         except ValueError:
             raise ParseError(path, line_no, f"malformed number in {tokens[1:]!r}") from None
-        line_nos.append(line_no)
         lines.append(line)
-    if not ids:
+    if not line_of:
         raise ParseError(path, 0, "no ground-truth rows")
     quats = np.array(quats)
-    _raise_first(path, line_nos, [_non_unit(quats, lines)])
-    return dict(zip(ids, quats))
+    _raise_first(path, list(line_of.values()), [_non_unit(quats, lines)])
+    return dict(zip(line_of, quats))
 
 
 def _csv_rows(path, columns, what: str):
@@ -571,14 +581,18 @@ def _csv_rows(path, columns, what: str):
         raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
 
 
+def _write_csv(path, columns, rows) -> None:
+    """Write the header row ``columns``, then each row of values as cells."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(map(_cell, row) for row in rows)
+
+
 def export_trace(trace, path) -> None:
     """Write checkpoint records as CSV; empty cells where a metric is
     unavailable (no ground truth)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace:
-            writer.writerow([_cell(getattr(rec, name)) for name in TRACE_COLUMNS])
+    _write_csv(path, TRACE_COLUMNS, map(astuple, trace))
 
 
 def load_trace(path) -> list[TraceRecord]:
@@ -601,14 +615,12 @@ def export_summary(rows, path) -> None:
     """Write one row per run; a run that never crossed the convergence
     threshold carries the literal NotConverged token, and a run without
     ground truth, whose convergence is undefined, an empty cell."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            cells = [_cell(getattr(row, name)) for name in SUMMARY_COLUMNS]
-            if row.steps_to_5deg is None and row.final_ape_mean_deg is not None:
-                cells[SUMMARY_COLUMNS.index("steps_to_5deg")] = NOT_CONVERGED
-            writer.writerow(cells)
+    def values(row):
+        if row.steps_to_5deg is None and row.final_ape_mean_deg is not None:
+            row = replace(row, steps_to_5deg=NOT_CONVERGED)
+        return astuple(row)
+
+    _write_csv(path, SUMMARY_COLUMNS, map(values, rows))
 
 
 def load_summary(path) -> list[SummaryRow]:

@@ -49,17 +49,6 @@ class TraceRecord:
     abs_median_deg: float | None = None
 
 
-@dataclass
-class ConvergenceSummary:
-    """Headline numbers of one run: first checkpoint under 5 degrees (None
-    if never reached), normalized area under the mean-pairwise-error
-    curve, and the final mean pairwise error."""
-
-    steps_to_5deg: int | None
-    nauc: float | None
-    final_ape_deg: float | None
-
-
 def _as_matrices(estimates) -> np.ndarray:
     if hasattr(estimates, "to_matrices"):
         return estimates.to_matrices()
@@ -230,18 +219,4 @@ def evaluate(estimates, env, step: int) -> TraceRecord:
     abs_mean, abs_median = absolute_error(est, env.ground_truth)
     return TraceRecord(
         step, ape_mean, ape_median, rel_mean, rel_median, abs_mean, abs_median
-    )
-
-
-def summarize(trace) -> ConvergenceSummary:
-    """Convergence summary of a completed trace."""
-    final = trace[-1].ape_mean_deg if trace else None
-    try:
-        area = nauc(trace)
-    except ValueError:
-        area = None
-    return ConvergenceSummary(
-        steps_to_5deg=steps_to_threshold(trace) if trace else None,
-        nauc=area,
-        final_ape_deg=final,
     )

@@ -12,7 +12,7 @@ from rotavg import averaging
 from rotavg import io as envio
 from rotavg import rotmath
 from rotavg.averaging import EstimateSet
-from rotavg.cli import aggregate_rows, main, render_aggregate
+from rotavg.cli import _parse_seeds, aggregate_rows, main, render_aggregate
 from conftest import random_quats
 
 
@@ -257,6 +257,31 @@ class TestBench:
         rc = run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "euler",
                      "--out", tmp_path)
         assert rc == 1
+
+
+class TestGridUsageErrors:
+    @pytest.mark.parametrize("seeds, named", [
+        ("abc", "bad seed 'abc'"), ("0-x", "bad seed '0-x'"), ("0,3-1", "seed range '3-1'"),
+        ("1-2-3", "bad seed '1-2-3'"), ("2-", "bad seed '2-'"), ("-1", "bad seed '-1'"),
+    ])
+    def test_bad_seed_list_names_the_token(self, tmp_path, capsys, seeds, named):
+        assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "mrp",
+                       "--seeds", seeds, "--iters", 10, "--out", tmp_path) == 1
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_seed_lists_and_ranges(self):
+        assert _parse_seeds("0-2, 5,7-7,") == [0, 1, 2, 5, 7]
+
+    def test_negative_aggregate_budget_is_usage_error(self, tmp_path, capsys):
+        summary = tmp_path / "summary.csv"
+        envio.export_summary([envio.SummaryRow("env", "mrp", 0, 1.0, 10, *[1.0] * 6)], summary)
+        assert run_cli("aggregate", "--summary", summary, "--iters", -5,
+                       "--out", tmp_path / "agg") == 1
+        assert "--iters must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "agg").exists()
+        assert run_cli("aggregate", "--summary", summary, "--iters", 0,
+                       "--out", tmp_path / "agg") == 0
 
 
 class TestAggregateLogic:

@@ -6,7 +6,7 @@ from conftest import random_quats
 from rotavg import io as envio
 from rotavg import rotmath
 from rotavg.averaging import EstimateSet
-from rotavg.envgraph import GeneratorConfig, generate_uniform_env
+from rotavg.envgraph import GeneratorConfig, RotationEnvironment, generate_uniform_env
 from rotavg.metrics import TraceRecord
 
 
@@ -253,6 +253,112 @@ class TestSummaryFiles:
         assert envio.load_summary(path) == self.rows()
 
 
+# hand-picked doubles for the golden-bytes tests: signed zero, the least
+# subnormal, 0.1, 1/3 and the largest double below 1
+THIRD, BELOW_ONE, TINY = 1 / 3, 1 - 2**-53, 5e-324
+
+
+class TestGoldenBytes:
+    """Every writer's bytes are pinned by a literal text, so the 17-digit
+    float format holds however the writers build their lines."""
+
+    def test_env_with_ground_truth(self, tmp_path):
+        env = RotationEnvironment(
+            3, [[0, 1], [2, 1]],
+            [[THIRD, -2 * THIRD, 2 * THIRD, 0.0], [-0.0, 0.6, -0.8, TINY]],
+            ground_truth=[[BELOW_ONE, -0.0, TINY, 0.0], [THIRD, 2 * THIRD, -2 * THIRD, -0.0],
+                          [0.1, 0.7, 0.1, 0.7]])
+        envio.save_env(env, tmp_path / "env.txt")
+        assert (tmp_path / "env.txt").read_text() == (
+            "ROTAVG-ENV 1\nnodes 3\nground-truth 1\nedges 2\n"
+            "gt 0 0.99999999999999989 -0 4.9406564584124654e-324 0\n"
+            "gt 1 0.33333333333333331 0.66666666666666663 -0.66666666666666663 -0\n"
+            "gt 2 0.10000000000000001 0.69999999999999996 0.10000000000000001 "
+            "0.69999999999999996\n"
+            "edge 0 1 0.33333333333333331 -0.66666666666666663 0.66666666666666663 0\n"
+            "edge 2 1 -0 0.59999999999999998 -0.80000000000000004 4.9406564584124654e-324\n"
+            "checksum 6d1e81d667be081b23d4624e5f4cd9c2dae16867464ba7cca4717c9de920929d\n")
+
+    def test_env_without_ground_truth(self, tmp_path):
+        env = RotationEnvironment(2, [[1, 0]], [[BELOW_ONE, TINY, -0.0, 0.0]])
+        envio.save_env(env, tmp_path / "env.txt")
+        assert (tmp_path / "env.txt").read_text() == (
+            "ROTAVG-ENV 1\nnodes 2\nground-truth 0\nedges 1\n"
+            "edge 1 0 0.99999999999999989 4.9406564584124654e-324 -0 0\n"
+            "checksum 4d2779eb4aaaa559fc6f07a0c2646204b9926ee7fd4989184e299c7e15cbd036\n")
+
+    @pytest.mark.parametrize("param, values, expected", [
+        ("quaternion", [[-0.0, TINY, 0.1, THIRD], [BELOW_ONE, -THIRD, 0.0, -0.1]],
+         "nodes 2\n"
+         "est 0 -0 4.9406564584124654e-324 0.10000000000000001 0.33333333333333331\n"
+         "est 1 0.99999999999999989 -0.33333333333333331 0 -0.10000000000000001\n"
+         "checksum aa6e190174ff06e87b82d9af271f249d5280ff07b1ab979c87ad9d4f6f0616bd\n"),
+        ("mrp", [[-0.0, TINY, 0.1], [THIRD, BELOW_ONE, -1e300]],
+         "nodes 2\n"
+         "est 0 -0 4.9406564584124654e-324 0.10000000000000001\n"
+         "est 1 0.33333333333333331 0.99999999999999989 -1.0000000000000001e+300\n"
+         "checksum d12b2454f172d806df1813858d0d0549627babe65b37b069f1f74c2a78b6466d\n"),
+        ("so3_matrix", [[[-0.0, TINY, 0.1], [THIRD, BELOW_ONE, -THIRD], [0.0, 1.0, -1.0]]],
+         "nodes 1\n"
+         "est 0 -0 4.9406564584124654e-324 0.10000000000000001 0.33333333333333331 "
+         "0.99999999999999989 -0.33333333333333331 0 1 -1\n"
+         "checksum cd748b6f947f1182752769b6bfd47678978d04a00c159212c0a0c7a8333fbb5e\n"),
+    ])
+    def test_estimates(self, tmp_path, param, values, expected):
+        envio.save_estimates(EstimateSet(param, values), tmp_path / "est.txt")
+        assert (tmp_path / "est.txt").read_text() == (
+            f"ROTAVG-EST 1\nparameterization {param}\n" + expected)
+
+    def test_summary_converged_not_converged_and_no_ground_truth(self, tmp_path):
+        rows = [
+            envio.SummaryRow("env_0.txt", "mrp", 0, THIRD, 37000,
+                             0.1, TINY, BELOW_ONE, -0.0, 4.25, 2.0),
+            envio.SummaryRow("gen:n=20,k=3", "so3", 1, 24.5, None,
+                             12.0, 0.1, 8.0, 6.0, 10.0, 9.0),
+            envio.SummaryRow("scene, v2.txt", "quat", 2, None, None,
+                             None, None, 9.5, THIRD, None, None),
+        ]
+        envio.export_summary(rows, tmp_path / "summary.csv")
+        assert (tmp_path / "summary.csv").read_text() == (
+            "env,algorithm,seed,nauc,steps_to_5deg,final_ape_mean_deg,final_ape_median_deg,"
+            "final_rel_mean_deg,final_rel_median_deg,final_abs_mean_deg,final_abs_median_deg\n"
+            "env_0.txt,mrp,0,0.33333333333333331,37000,0.10000000000000001,"
+            "4.9406564584124654e-324,0.99999999999999989,-0,4.25,2\n"
+            '"gen:n=20,k=3",so3,1,24.5,NotConverged,12,0.10000000000000001,8,6,10,9\n'
+            '"scene, v2.txt",quat,2,,,,,9.5,0.33333333333333331,,\n')
+        assert envio.load_summary(tmp_path / "summary.csv") == rows
+
+
+class TestCountBeyondRows:
+    """A header count larger than the rows that follow is reported at the
+    line where the rows end, with or without the checksum line."""
+
+    @pytest.mark.parametrize("keep_checksum", [True, False])
+    def test_env_edges(self, tmp_path, keep_checksum):
+        path = tmp_path / "env.txt"
+        envio.save_env(make_env(3, n=6), path)
+        lines = path.read_text().splitlines()
+        n_edges = int(lines[3].split()[1])
+        lines[3] = f"edges {n_edges + 5}"
+        write_lines(path, lines if keep_checksum else lines[:-1])
+        with pytest.raises(envio.ParseError, match=f"after {n_edges} 'edge' lines, "
+                                                   f"where the header counts {n_edges + 5}") as err:
+            envio.load_env(path)
+        assert err.value.line_no == len(lines)  # the checksum line, or the end without it
+
+    @pytest.mark.parametrize("keep_checksum", [True, False])
+    def test_estimates(self, tmp_path, rng, keep_checksum):
+        path = tmp_path / "est.txt"
+        envio.save_estimates(EstimateSet.from_quaternions(random_quats(rng, 6), "mrp"), path)
+        lines = path.read_text().splitlines()
+        lines[2] = "nodes 1000000000000"
+        write_lines(path, lines if keep_checksum else lines[:-1])
+        with pytest.raises(envio.ParseError, match="after 6 'est' lines, "
+                                                   "where the header counts 1000000000000") as err:
+            envio.load_estimates(path)
+        assert err.value.line_no == 10  # the checksum line, or the end of the file without it
+
+
 class TestImport1dsfm:
     def three_node_rows(self, rng):
         gt = rotmath.quat_to_matrix(random_quats(rng, 3))
@@ -362,6 +468,19 @@ class TestImport1dsfm:
         assert env.ground_truth is not None
         mean_err = np.max(rotmath.geodesic_distance(env.ground_truth, gt[:3]))
         assert mean_err < 1e-9
+
+    def test_duplicate_ground_truth_id_names_both_lines(self, tmp_path, rng):
+        gt = rotmath.quat_to_matrix(random_quats(rng, 3))
+        eg = tmp_path / "eg.txt"
+        write_lines(eg, [eg_line(0, 1, gt[0] @ gt[1].T), eg_line(1, 2, gt[1] @ gt[2].T)])
+        quats = rotmath.matrix_to_quat(gt)
+        gt_file = tmp_path / "gt.txt"
+        write_lines(gt_file, ["# id w x y z"] + [f"{i} " + " ".join(f"{x:.17g}" for x in quats[k])
+                                                 for i, k in ((0, 0), (1, 1), (2, 2), (0, 1))])
+        with pytest.raises(envio.ParseError, match=r"node 0 is listed again \(first at line 2\)") \
+                as err:
+            envio.import_1dsfm(eg, gt_path=gt_file)
+        assert err.value.line_no == 5
 
     def test_empty_graph_raises(self, tmp_path):
         path = tmp_path / "junk.txt"

@@ -16,7 +16,6 @@ from rotavg.metrics import (
     nauc,
     relative_edge_error,
     steps_to_threshold,
-    summarize,
 )
 
 
@@ -286,9 +285,7 @@ class TestStepsToThreshold:
     def test_never(self):
         trace = [record(s, 10.0) for s in range(0, 500, 100)]
         assert steps_to_threshold(trace) is None
-        summary = summarize(trace)
-        assert summary.steps_to_5deg is None
-        assert abs(summary.nauc - 10.0) < 1e-12
+        assert abs(nauc(trace) - 10.0) < 1e-12
 
     def test_custom_threshold(self):
         trace = [record(0, 50.0), record(100, 8.0)]

@@ -1,6 +1,7 @@
 """No rotavg module imports, or reads as an attribute, an underscore name
 of another rotavg module: what one module needs from another is public.
-And io reads every file it loads through one line source."""
+And io reads every file it loads through one line source and writes every
+file through one of two writers."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,48 @@ def test_detects_every_kind_of_read(tmp_path):
                     "def d(p):\n    return p.read_bytes()\n"
                     "def w(p):\n    return open(p, 'w'), p.open('a'), open(p, mode='x')\n")
     assert file_readers(path) == {"_streamed_lines", "a", "b", "c", "d"}
+
+
+WRITERS = {"_write_checksummed", "_write_csv"}
+
+
+def file_writers(path: Path) -> set[str]:
+    """Names of the functions in ``path`` that open a file for writing
+    (``open`` or ``Path.open`` in a write, append, create or update mode,
+    or a mode that is not a literal) or call ``write_text`` or
+    ``write_bytes``."""
+    writers = set()
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func.attr if isinstance(node.func, ast.Attribute) else \
+                getattr(node.func, "id", None)
+            if callee in ("write_text", "write_bytes"):
+                writers.add(func.name)
+            elif callee == "open":
+                args = node.args[1:] if isinstance(node.func, ast.Name) else node.args
+                mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                            args[0] if args else ast.Constant("r"))
+                if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                    writers.add(func.name)
+    return writers
+
+
+def test_io_writes_files_only_through_its_two_writers():
+    assert file_writers(SRC / "io.py") == WRITERS
+
+
+def test_detects_every_kind_of_write(tmp_path):
+    path = tmp_path / "io.py"
+    path.write_text("def r(p):\n    return open(p), open(p, 'rb'), p.open(mode='r'), p.read_text()\n"
+                    "def a(p):\n    return open(p, 'w')\n"
+                    "def b(p):\n    return p.open(mode='a')\n"
+                    "def c(p):\n    return open(p, mode='x')\n"
+                    "def d(p):\n    return open(p, 'r+b')\n"
+                    "def e(p, m):\n    return open(p, m)\n"
+                    "def f(p):\n    return p.write_text('')\n"
+                    "def g(p):\n    return p.write_bytes(b'')\n")
+    assert file_writers(path) == {"a", "b", "c", "d", "e", "f", "g"}
