@@ -75,6 +75,8 @@ class OptimizerConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.init not in INIT_MODES:

@@ -50,24 +50,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_checkpoint_every(iters: int) -> int:
-    # dense logging for short budgets, coarser for long synthetic runs
-    return 1000 if iters >= 100_000 else 200
-
-
-# gen spec keys, which are also the gen command's flags -> GeneratorConfig fields
-_GEN_KEYS = {"n": "n_nodes", "k": "k_neighbors", "seed": "seed",
-             "mode": "neighborhood_mode", "epsilon": "epsilon"}
-
-
-def _gen_config(**values) -> GeneratorConfig:
-    """A checked GeneratorConfig from gen spec keys (n defaults to 100)."""
-    cfg = GeneratorConfig(**{_GEN_KEYS[k]: v for k, v in {"n": 100, **values}.items()})
+def _checked(cfg):
+    """``cfg`` once its validate() passes; a bad value is a usage error."""
     try:
         cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc))
     return cfg
+
+
+# gen spec keys, which are also the gen command's flags -> (GeneratorConfig field, type)
+_GEN_KEYS = {"n": ("n_nodes", int), "k": ("k_neighbors", int), "seed": ("seed", int),
+             "mode": ("neighborhood_mode", str), "epsilon": ("epsilon", float)}
+
+
+def _gen_config(**values) -> GeneratorConfig:
+    """A checked GeneratorConfig from gen spec keys (n defaults to 100)."""
+    fields = {_GEN_KEYS[k][0]: v for k, v in {"n": 100, **values}.items()}
+    return _checked(GeneratorConfig(**fields))
 
 
 def _parse_gen_spec(spec: str) -> GeneratorConfig:
@@ -80,11 +80,8 @@ def _parse_gen_spec(spec: str) -> GeneratorConfig:
             key, value = part.split("=", 1)
             if key not in _GEN_KEYS:
                 raise UsageError(f"unknown gen spec key {key!r}")
-            if key == "mode":
-                values[key] = value
-                continue
             try:
-                values[key] = float(value) if key == "epsilon" else int(value)
+                values[key] = _GEN_KEYS[key][1](value)
             except ValueError:
                 raise UsageError(f"bad gen spec value {key}={value!r}") from None
     return _gen_config(**values)
@@ -102,23 +99,17 @@ def _env_stem(source: str) -> str:
     return Path(source).stem
 
 
-def _build_config(algo_token: str, args_like: dict) -> OptimizerConfig:
-    cfg = OptimizerConfig(
-        algorithm=ALGO_TOKENS[algo_token],
-        gamma=args_like["gamma"],
-        eta=args_like["eta"],
-        batch_size=args_like["batch"],
-        max_iters=args_like["iters"],
-        seed=args_like["seed"],
-        checkpoint_every=args_like["checkpoint_every"]
-        or _default_checkpoint_every(args_like["iters"]),
-        init=args_like["init"],
-    )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return cfg
+# run parameters: run and bench flags, which are also bench plan keys -> OptimizerConfig fields
+_RUN_PARAMS = {"gamma": "gamma", "eta": "eta", "batch": "batch_size", "iters": "max_iters",
+               "checkpoint_every": "checkpoint_every", "init": "init"}
+
+
+def _build_config(algo_token: str, settings: dict, seed: int = 0) -> OptimizerConfig:
+    fields = {field: settings[key] for key, field in _RUN_PARAMS.items()}
+    if fields["checkpoint_every"] is None:
+        # dense logging for short budgets, coarser for long synthetic runs
+        fields["checkpoint_every"] = 1000 if fields["max_iters"] >= 100_000 else 200
+    return _checked(OptimizerConfig(ALGO_TOKENS[algo_token], seed=seed, **fields))
 
 
 def _record_run(out_dir, env_label, algo_token, cfg, trace) -> envio.SummaryRow:
@@ -136,7 +127,7 @@ def _record_run(out_dir, env_label, algo_token, cfg, trace) -> envio.SummaryRow:
 def cmd_gen(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
-    base = _gen_config(n=args.n, k=args.k, seed=args.seed, mode=args.mode, epsilon=args.epsilon)
+    base = _gen_config(**{key: getattr(args, key) for key in _GEN_KEYS})
     os.makedirs(args.out, exist_ok=True)
     failures = 0
     for seed in range(args.seed, args.seed + args.count):
@@ -154,7 +145,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _build_config(args.algo, vars(args))
+    cfg = _build_config(args.algo, vars(args), args.seed)
     if args.algo == "mrp" and args.eta >= _INERT_ETA:
         print(f"warning: eta={args.eta:g} is so large the MRP gradient "
               "clamp will never fire", file=sys.stderr)
@@ -185,25 +176,22 @@ def _failure_message(exc) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _bench_ensemble(algo_token, envs, cfgs, sources, cell_dirs):
-    """Run grid cells of one algorithm as one ensemble, write their
-    traces, and return their summary rows.
+def _bench_ensemble(task):
+    """Run grid cells of one algorithm as one ensemble and write their
+    traces; return each cell's summary row, or the ensemble's failure message.
 
     The ensemble goes through run_averaging, as ``rotavg run`` does, so
     every optimization loop of the CLI is one call of that name (the
     traced benchmark run counts and times loops there).
     """
-    results = run_averaging(envs, cfgs)
-    return [_record_run(cell_dir, source, algo_token, cfg, trace)
-            for (_, trace), cfg, source, cell_dir in zip(results, cfgs, sources, cell_dirs)]
-
-
-def _ensemble_outcome(task):
-    """(rows, None) from one ensemble, or (None, message) when it raised."""
+    cells, envs, cfgs, cell_dirs = task
     try:
-        return _bench_ensemble(*task), None
+        results = run_averaging(envs, cfgs)
+        return {(source, algo, seed): _record_run(cell_dir, source, algo, cfg, trace)
+                for (source, algo, seed), (_, trace), cfg, cell_dir
+                in zip(cells, results, cfgs, cell_dirs)}
     except Exception as exc:  # every cell of the ensemble fails; the grid goes on
-        return None, _failure_message(exc)
+        return dict.fromkeys(cells, _failure_message(exc))
 
 
 def _unique_stems(envs):
@@ -347,7 +335,7 @@ def _is_list_of(check):
 _PLAN_FIELDS = {
     "envs": (_is_list_of(lambda v: isinstance(v, str)), "a list of strings"),
     "algos": (_is_list_of(lambda v: isinstance(v, str)), "a list of strings"),
-    "seeds": (_is_list_of(_is_int), "a list of integers"),
+    "seeds": (_is_list_of(lambda v: _is_int(v) and v >= 0), "a list of non-negative integers"),
     "out": (lambda v: isinstance(v, str), "a string"),
     "gamma": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
     "eta": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
@@ -363,7 +351,7 @@ def _load_plan(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             plan = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"plan {path} is not valid JSON: {exc}") from None
     if not isinstance(plan, dict):
         raise UsageError(f"plan {path} is not a JSON object")
@@ -377,20 +365,20 @@ def _load_plan(path) -> dict:
 
 
 def _run_grid(cells, configs, jobs, stems, out_dir):
-    """Summary rows and failure messages of bench grid cells, by cell.
+    """Each bench grid cell's summary row, or its failure message.
 
     Each environment is loaded once.  A failure found before stepping
     (loading, a batch larger than the node count) fails only its own
     cells; each algorithm's other cells run as at most ``jobs``
     ensembles, in worker processes when jobs > 1.
     """
-    failures = {}
+    outcomes = {}
     loaded = {}
     for source in dict.fromkeys(source for source, _, _ in cells):
         try:
             loaded[source] = _load_env_source(source)
         except Exception as exc:  # record and continue the grid
-            failures.update((c, _failure_message(exc)) for c in cells if c[0] == source)
+            outcomes.update((c, _failure_message(exc)) for c in cells if c[0] == source)
             continue
         os.makedirs(Path(out_dir) / stems[source], exist_ok=True)
     groups = {algo: [] for algo in configs}
@@ -402,55 +390,33 @@ def _run_grid(cells, configs, jobs, stems, out_dir):
         try:
             check_run(loaded[source], cfg)
         except ValueError as exc:
-            failures[cell] = _failure_message(exc)
+            outcomes[cell] = _failure_message(exc)
             continue
         groups[algo].append((cell, cfg))
 
-    task_cells, tasks = [], []
-    for algo, group in groups.items():
+    tasks = []
+    for group in groups.values():
         n = min(jobs, len(group))
         for k in range(n):
-            part = group[k * len(group) // n:(k + 1) * len(group) // n]
-            sources = [cell[0] for cell, _ in part]
-            task_cells.append([cell for cell, _ in part])
-            tasks.append((algo, [loaded[s] for s in sources], [cfg for _, cfg in part],
-                          sources, [Path(out_dir) / stems[s] for s in sources]))
+            part_cells, cfgs = zip(*group[k * len(group) // n:(k + 1) * len(group) // n])
+            tasks.append((part_cells, [loaded[c[0]] for c in part_cells], cfgs,
+                          [Path(out_dir) / stems[c[0]] for c in part_cells]))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_ensemble_outcome, tasks))
+            results = list(pool.map(_bench_ensemble, tasks))
     else:
-        outcomes = list(map(_ensemble_outcome, tasks))
-    results = {}
-    for part_cells, (rows, error) in zip(task_cells, outcomes):
-        if error is None:
-            results.update(zip(part_cells, rows))
-        else:
-            failures.update(dict.fromkeys(part_cells, error))
-
-    return results, failures
-
-
-# run parameters a bench takes from its flags, or from its plan
-_GRID_PARAMS = ("gamma", "eta", "batch", "iters", "checkpoint_every", "init")
+        results = list(map(_bench_ensemble, tasks))
+    for ensemble_outcomes in results:
+        outcomes.update(ensemble_outcomes)
+    return outcomes
 
 
 def cmd_bench(args) -> int:
-    params = {key: getattr(args, key) for key in _GRID_PARAMS}
-    params["seed"] = 0
-    envs = list(args.envs or [])
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    seeds = _parse_seeds(args.seeds)
-    out_dir = args.out
-
+    # the flags, then the plan over them: its keys are the flags' names
+    settings = {key: getattr(args, key) for key in _PLAN_FIELDS}
     if args.plan:
-        plan = _load_plan(args.plan)
-        envs = plan.get("envs", envs)
-        algos = plan.get("algos", algos)
-        seeds = plan.get("seeds", seeds)
-        out_dir = plan.get("out", out_dir)
-        for key in _GRID_PARAMS:
-            if key in plan:
-                params[key] = plan[key]
+        settings.update(_load_plan(args.plan))
+    envs, algos, seeds, out_dir = (settings[key] for key in ("envs", "algos", "seeds", "out"))
 
     if not envs:
         raise UsageError("no environments given (use --envs or a plan file)")
@@ -467,7 +433,11 @@ def cmd_bench(args) -> int:
         repeats = [v for k, v in enumerate(values) if v in values[:k]]
         if repeats:
             raise UsageError(f"{what} {repeats[0]!r} is repeated in the bench grid")
-    configs = {algo: _build_config(algo, params) for algo in algos}
+    configs = {algo: _build_config(algo, settings) for algo in algos}
+    # a malformed spec is a usage error; one that fails to generate fails its own cells
+    for env in envs:
+        if env.startswith("gen:"):
+            _parse_gen_spec(env)
     jobs = args.jobs or os.environ.get("ROTAVG_JOBS", "1")
     if not str(jobs).isdigit() or int(jobs) < 1:
         raise UsageError(f"--jobs (or ROTAVG_JOBS) must be an integer >= 1, got {jobs!r}")
@@ -477,23 +447,23 @@ def cmd_bench(args) -> int:
     stems = _unique_stems(envs)
     cells = [(env, algo, seed) for env in envs for algo in algos for seed in seeds]
 
-    results, failures = _run_grid(cells, configs, jobs, stems, out_dir)
-    rows = [results[c] for c in cells if c in results]
+    outcomes = _run_grid(cells, configs, jobs, stems, out_dir)
+    rows = [outcomes[c] for c in cells if not isinstance(outcomes[c], str)]
     envio.export_summary(rows, Path(out_dir) / "summary.csv")
-    if failures:
-        failure_lines = [
-            f"{env} {algo} seed={seed}: {failures[(env, algo, seed)]}"
-            for env, algo, seed in cells
-            if (env, algo, seed) in failures
-        ]
+    failure_lines = [
+        f"{env} {algo} seed={seed}: {outcomes[env, algo, seed]}"
+        for env, algo, seed in cells
+        if isinstance(outcomes[env, algo, seed], str)
+    ]
+    if failure_lines:
         (Path(out_dir) / "failures.txt").write_text(
             "\n".join(failure_lines) + "\n", encoding="utf-8"
         )
         for line in failure_lines:
             print(f"failed: {line}", file=sys.stderr)
     if rows:
-        _write_aggregate(rows, params["iters"], out_dir)
-    return EXIT_DATA if failures else EXIT_OK
+        _write_aggregate(rows, settings["iters"], out_dir)
+    return EXIT_DATA if failure_lines else EXIT_OK
 
 
 def cmd_aggregate(args) -> int:
@@ -575,10 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="run a benchmark grid")
-    p.add_argument("--envs", nargs="+", help="environment files or gen: specs")
+    p.add_argument("--envs", nargs="+", default=[], help="environment files or gen: specs")
     p.add_argument("--algos", default="so3,quat,mrp",
+                   type=lambda text: [a.strip() for a in text.split(",") if a.strip()],
                    help="comma-separated algorithms")
-    p.add_argument("--seeds", default="0", help="seed list, e.g. 0,1,2 or 0-9")
+    p.add_argument("--seeds", type=_parse_seeds, default="0",
+                   help="seed list, e.g. 0,1,2 or 0-9")
     _add_run_params(p)
     p.add_argument("--plan", help="JSON plan file (overrides the flags above)")
     p.add_argument("--out", help="output directory")
@@ -612,16 +584,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

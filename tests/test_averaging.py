@@ -493,16 +493,14 @@ class TestRunAveraging:
     def test_mrp_regression_n10(self):
         # frozen baseline: on exact N=10 environments the mean pairwise
         # error never rises between checkpoints past 1K steps and ends
-        # below a degree well before 50K
+        # below a degree well before 50K; the ten runs step as one
+        # ensemble, whose members equal their solo runs (TestRunEnsemble)
+        envs = [generate_uniform_env(GeneratorConfig(n_nodes=10, k_neighbors=3, seed=seed))
+                for seed in range(10)]
+        cfgs = [OptimizerConfig("mrp", max_iters=50_000, seed=seed, checkpoint_every=1000)
+                for seed in range(10)]
         good = 0
-        for seed in range(10):
-            env = generate_uniform_env(
-                GeneratorConfig(n_nodes=10, k_neighbors=3, seed=seed)
-            )
-            cfg = OptimizerConfig(
-                "mrp", max_iters=50_000, seed=seed, checkpoint_every=1000
-            )
-            _, trace = run_averaging(env, cfg)
+        for _, trace in run_averaging(envs, cfgs):
             errs = [r.ape_mean_deg for r in trace if r.step >= 1000]
             nonincreasing = all(
                 errs[k + 1] <= errs[k] + 1e-6 for k in range(len(errs) - 1)

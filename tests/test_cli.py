@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ import rotavg
 from rotavg import averaging
 from rotavg import io as envio
 from rotavg import rotmath
-from rotavg.averaging import EstimateSet
-from rotavg.cli import _parse_seeds, aggregate_rows, main, render_aggregate
+from rotavg.averaging import EstimateSet, OptimizerConfig
+from rotavg.cli import (_GEN_KEYS, _PLAN_FIELDS, _RUN_PARAMS, _build_config, _parse_seeds,
+                        aggregate_rows, build_parser, main, render_aggregate)
+from rotavg.envgraph import GeneratorConfig
 from conftest import random_quats
 
 
@@ -117,6 +120,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert key in err and value in err
 
+    @pytest.mark.parametrize("flag, value, named", [("--checkpoint-every", 0, "checkpoint_every"),
+                                                    ("--seed", -1, "seed")])
+    def test_zero_cadence_or_negative_seed_is_usage_error(self, tmp_path, capsys, flag, value,
+                                                          named):
+        rc = run_cli("run", "--env", "gen:n=10,seed=0", "--algo", "mrp", "--iters", 400,
+                     flag, value, "--out", tmp_path / "run")
+        assert rc == 1
+        assert f"{named} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_cadence_default_follows_the_budget(self):
+        flags = vars(build_parser().parse_args(["run", "--env", "e", "--algo", "mrp",
+                                                "--out", "o"]))
+        for iters, cadence in ((400, 200), (99_999, 200), (100_000, 1000)):
+            assert _build_config("mrp", {**flags, "iters": iters}).checkpoint_every == cadence
+
 
 class TestBench:
     def test_grid_and_aggregate_recompute(self, tmp_path):
@@ -213,7 +232,7 @@ class TestBench:
                     assert (out / stem / name).read_bytes() == (solo / name).read_bytes()
 
     @pytest.mark.parametrize("key, value", [("seeds", '"0-2"'), ("batch", '"8"'),
-                                            ("iter", "100")])
+                                            ("iter", "100"), ("seeds", "[-1]")])
     def test_bad_plan_is_usage_error_before_any_cell(self, tmp_path, capsys, key, value):
         plan = tmp_path / "plan.json"
         plan.write_text('{"envs": ["gen:n=10,seed=3"], "algos": ["mrp"], '
@@ -230,6 +249,44 @@ class TestBench:
         plan.write_text(text)
         assert run_cli("bench", "--plan", plan, "--out", tmp_path / "bench") == 1
         assert "plan.json" in capsys.readouterr().err
+
+    def test_zero_cadence_in_plan_is_usage_error(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"envs": ["gen:n=10,seed=0"], "algos": ["mrp"], "iters": 400,'
+                        ' "checkpoint_every": 0}')
+        assert run_cli("bench", "--plan", plan, "--out", tmp_path / "bench") == 1
+        assert "checkpoint_every must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
+    def test_plan_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(b'{"envs": ["gen:n=10,seed=0"], "iters": 10, \xff}')
+        assert run_cli("bench", "--plan", plan, "--out", tmp_path / "bench") == 1
+        assert "plan.json" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
+    @pytest.mark.parametrize("spec, named", [("gen:n=abc", "n='abc'"),
+                                             ("gen:n=10,k=0", "k_neighbors"),
+                                             ("gen:size=10", "'size'")])
+    def test_malformed_gen_spec_is_usage_error_before_any_cell(self, tmp_path, capsys,
+                                                               spec, named):
+        out = tmp_path / "bench"
+        rc = run_cli("bench", "--envs", "gen:n=10,seed=0", spec, "--algos", "mrp",
+                     "--iters", 10, "--out", out)
+        assert rc == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_spec_that_fails_to_generate_fails_only_its_cells(self, tmp_path):
+        out = tmp_path / "bench"
+        rc = run_cli("bench", "--envs", "gen:n=60,k=1,seed=3", "gen:n=10,seed=0",
+                     "--algos", "mrp", "--seeds", "0,1", "--iters", 10, "--out", out)
+        assert rc == 2
+        failed = (out / "failures.txt").read_text().splitlines()
+        assert [line.split(": ")[0] for line in failed] == [
+            "gen:n=60,k=1,seed=3 mrp seed=0", "gen:n=60,k=1,seed=3 mrp seed=1"]
+        assert all("ConnectivityFailure" in line for line in failed)
+        assert [r.env for r in envio.load_summary(out / "summary.csv")] == ["gen:n=10,seed=0"] * 2
 
     def test_error_while_stepping_fails_the_whole_ensemble(self, tmp_path, monkeypatch):
         def broken_step(*args):
@@ -282,6 +339,28 @@ class TestGridUsageErrors:
         assert not (tmp_path / "agg").exists()
         assert run_cli("aggregate", "--summary", summary, "--iters", 0,
                        "--out", tmp_path / "agg") == 0
+
+
+class TestSettingTables:
+    """Each run parameter and gen key is named in its tables and flags
+    together, so none can be added in only one place."""
+
+    @staticmethod
+    def dests(*argv):
+        return set(vars(build_parser().parse_args(list(argv))))
+
+    def test_run_parameters_are_config_fields_flags_and_plan_keys(self):
+        names = {f.name for f in fields(OptimizerConfig)} - {"algorithm", "seed"}
+        assert set(_RUN_PARAMS.values()) == names
+        run = self.dests("run", "--env", "e", "--algo", "mrp", "--out", "o")
+        bench = self.dests("bench")
+        assert set(_RUN_PARAMS) <= run & bench & set(_PLAN_FIELDS)
+        assert set(_PLAN_FIELDS) <= bench  # a bench starts from its flags, then reads its plan
+
+    def test_gen_keys_are_generator_fields_and_gen_flags(self):
+        names = {f.name for f in fields(GeneratorConfig)}
+        assert {field for field, _ in _GEN_KEYS.values()} == names
+        assert set(_GEN_KEYS) <= self.dests("gen", "--out", "o")
 
 
 class TestAggregateLogic:
