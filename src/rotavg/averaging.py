@@ -28,7 +28,7 @@ program; each member's estimates and trace equal those of its lone run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,6 @@ from . import metrics, rotmath
 _RUN_STREAM = 0x524F5441
 # Shape of one node's value in each parameterization.
 VALUE_SHAPES = {"so3_matrix": (3, 3), "quaternion": (4,), "mrp": (3,)}
-PARAMETERIZATIONS = tuple(VALUE_SHAPES)
 INIT_MODES = ("identity", "haar")
 
 
@@ -116,7 +115,7 @@ class EstimateSet:
     """
 
     def __init__(self, parameterization: str, values):
-        if parameterization not in PARAMETERIZATIONS:
+        if parameterization not in VALUE_SHAPES:
             raise ValueError(f"unknown parameterization {parameterization!r}")
         values = np.array(values, dtype=float, copy=True)
         expected = values.shape[:1] + VALUE_SHAPES[parameterization]
@@ -334,7 +333,6 @@ ALGORITHM_TABLE = {
     "mrp": Algorithm("mrp", "nbr_quats", _mrp_pair_grads, _mrp_apply),
 }
 ALGORITHMS = tuple(ALGORITHM_TABLE)
-PARAM_FOR_ALGORITHM = {name: a.parameterization for name, a in ALGORITHM_TABLE.items()}
 
 
 def _step(name: str, estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> StepReport:
@@ -351,39 +349,19 @@ def _step(name: str, estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> 
     return StepReport(idx, j, loss, applied, antipodes)
 
 
-def so3_step(estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> StepReport:
-    """One synchronous batch update on the rotation-matrix manifold."""
-    return _step("so3", estimates, env, cfg, rng)
+# _step bound to each table row; the ensemble loop calls steps through this dict
+STEP_FUNCTIONS = {name: partial(_step, name) for name in ALGORITHM_TABLE}
+so3_step = STEP_FUNCTIONS["so3"]
+quaternion_step = STEP_FUNCTIONS["quaternion"]
+mrp_step = STEP_FUNCTIONS["mrp"]
 
 
-def quaternion_step(estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> StepReport:
-    """One synchronous batch update on quaternions in ambient R^4."""
-    return _step("quaternion", estimates, env, cfg, rng)
-
-
-def mrp_step(estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> StepReport:
-    """One synchronous batch update in MRP space (see _mrp_apply)."""
-    return _step("mrp", estimates, env, cfg, rng)
-
-
-STEP_FUNCTIONS = {
-    "so3": so3_step,
-    "quaternion": quaternion_step,
-    "mrp": mrp_step,
-}
-
-
-def initial_estimates(env, cfg: OptimizerConfig, rng=None) -> EstimateSet:
-    """Initial EstimateSet in the algorithm's parameterization.
-
-    Haar draws come from the supplied generator (the run stream), else
-    from a fresh generator on cfg.seed.
-    """
-    param = PARAM_FOR_ALGORITHM[cfg.algorithm]
+def initial_estimates(env, cfg: OptimizerConfig, rng) -> EstimateSet:
+    """Initial EstimateSet in the algorithm's parameterization; Haar
+    draws come from ``rng``, the run's stream."""
+    param = ALGORITHM_TABLE[cfg.algorithm].parameterization
     if cfg.init == "identity":
         return EstimateSet.identity(env.n_nodes, param)
-    if rng is None:
-        rng = np.random.default_rng([cfg.seed, _RUN_STREAM])
     quats = rotmath.sample_uniform_rotation(rng, env.n_nodes)
     return EstimateSet.from_quaternions(quats, param)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as envio
-from . import metrics
+from . import envgraph, metrics
 from .averaging import INIT_MODES, OptimizerConfig, check_run, run_averaging
 from .envgraph import ConnectivityFailure, GeneratorConfig, generate_uniform_env
 
@@ -109,7 +109,11 @@ def _build_config(algo_token: str, settings: dict, seed: int = 0) -> OptimizerCo
     if fields["checkpoint_every"] is None:
         # dense logging for short budgets, coarser for long synthetic runs
         fields["checkpoint_every"] = 1000 if fields["max_iters"] >= 100_000 else 200
-    return _checked(OptimizerConfig(ALGO_TOKENS[algo_token], seed=seed, **fields))
+    cfg = _checked(OptimizerConfig(ALGO_TOKENS[algo_token], seed=seed, **fields))
+    if cfg.algorithm == "mrp" and cfg.eta >= _INERT_ETA:
+        print(f"warning: eta={cfg.eta:g} is so large the MRP gradient "
+              "clamp will never fire", file=sys.stderr)
+    return cfg
 
 
 def _record_run(out_dir, env_label, algo_token, cfg, trace) -> envio.SummaryRow:
@@ -146,9 +150,6 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _build_config(args.algo, vars(args), args.seed)
-    if args.algo == "mrp" and args.eta >= _INERT_ETA:
-        print(f"warning: eta={args.eta:g} is so large the MRP gradient "
-              "clamp will never fire", file=sys.stderr)
     env = _load_env_source(args.env)
     os.makedirs(args.out, exist_ok=True)
 
@@ -195,14 +196,17 @@ def _bench_ensemble(task):
 
 
 def _unique_stems(envs):
-    """Per-source output directory names; suffixed when basenames repeat."""
+    """Per-source output directory names, no two alike: a repeated stem
+    gets the first suffix __2, __3, ... that is no source's own stem."""
+    own = {_env_stem(env) for env in envs}
     stems = {}
-    seen = {}
     for env in envs:
-        base = _env_stem(env)
-        count = seen.get(base, 0)
-        seen[base] = count + 1
-        stems[env] = base if count == 0 else f"{base}__{count + 1}"
+        name = base = _env_stem(env)
+        k = 1
+        while name in stems.values() or (k > 1 and name in own):
+            k += 1
+            name = f"{base}__{k}"
+        stems[env] = name
     return stems
 
 
@@ -232,7 +236,10 @@ def aggregate_rows(rows, max_iters: int):
     offline from summary.csv.  The steps mean counts never-converged runs
     at the full budget (censored mean); the max renders as NotConverged
     when any run failed to cross the threshold; the min is over converged
-    runs.  Returns (milestones, per-algorithm dicts).
+    runs.  Convergence is undefined without ground truth, so the
+    convergence and steps statistics are over the runs that have it
+    (``conv_pct`` is empty when none does).  Returns (milestones,
+    per-algorithm dicts).
     """
     milestones = sorted({max(1, round(f * max_iters)) for f in MILESTONE_FRACTIONS})
     order = [t for t in ALGO_TOKENS if any(r.algorithm == t for r in rows)]
@@ -240,29 +247,24 @@ def aggregate_rows(rows, max_iters: int):
     out = []
     for algo in order:
         algo_rows = [r for r in rows if r.algorithm == algo]
-        n = len(algo_rows)
-        steps = [r.steps_to_5deg for r in algo_rows if r.steps_to_5deg is not None]
+        truth_rows = [r for r in algo_rows if r.final_ape_mean_deg is not None]
+        steps = [r.steps_to_5deg for r in truth_rows if r.steps_to_5deg is not None]
         censored = [
             max_iters if r.steps_to_5deg is None else r.steps_to_5deg
-            for r in algo_rows
+            for r in truth_rows
         ]
-        conv = {
-            m: 100.0 * sum(1 for s in steps if s <= m) / n for m in milestones
-        }
+        conv = {m: 100.0 * sum(1 for s in steps if s <= m) / len(truth_rows)
+                for m in milestones} if truth_rows else {}
         naucs = [r.nauc for r in algo_rows if r.nauc is not None]
-        finals = [
-            r.final_ape_mean_deg
-            for r in algo_rows
-            if r.final_ape_mean_deg is not None
-        ]
+        finals = [r.final_ape_mean_deg for r in truth_rows]
         out.append(
             {
                 "algorithm": algo,
-                "runs": n,
+                "runs": len(algo_rows),
                 "converged": len(steps),
                 "conv_pct": conv,
                 "steps_mean": float(np.mean(censored)) if censored else None,
-                "steps_max": max(steps) if len(steps) == n and steps else None,
+                "steps_max": max(steps) if len(steps) == len(truth_rows) and steps else None,
                 "steps_min": min(steps) if steps else None,
                 "nauc_mean": float(np.mean(naucs)) if naucs else None,
                 "nauc_max": float(np.max(naucs)) if naucs else None,
@@ -292,10 +294,13 @@ def render_aggregate(milestones, stats, max_iters: int):
     headers = ["algorithm", "runs", *(f"conv%@{m}" for m in milestones), *_AGG_COLUMNS]
     table = []
     for s in stats:
+        # no run with ground truth: convergence cells are empty, not NotConverged
+        defined = bool(s["conv_pct"])
         table.append(
             [s["algorithm"], str(s["runs"])]
-            + [f"{s['conv_pct'][m]:.0f}%" for m in milestones]
-            + [_fmt_cell(s[key], "steps" if key in ("steps_max", "steps_min") else "f")
+            + [f"{s['conv_pct'][m]:.0f}%" if defined else "" for m in milestones]
+            + [_fmt_cell(s[key], "steps" if defined and key in ("steps_max", "steps_min")
+                         else "f")
                for key in _AGG_COLUMNS]
         )
     widths = [
@@ -438,7 +443,7 @@ def cmd_bench(args) -> int:
     for env in envs:
         if env.startswith("gen:"):
             _parse_gen_spec(env)
-    jobs = args.jobs or os.environ.get("ROTAVG_JOBS", "1")
+    jobs = os.environ.get("ROTAVG_JOBS", "1") if args.jobs is None else args.jobs
     if not str(jobs).isdigit() or int(jobs) < 1:
         raise UsageError(f"--jobs (or ROTAVG_JOBS) must be an integer >= 1, got {jobs!r}")
     jobs = int(jobs)
@@ -528,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3, help="nearest neighbors")
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--count", type=int, default=1, help="number of environments")
-    p.add_argument("--mode", choices=("knn", "epsilon"), default="knn")
+    p.add_argument("--mode", choices=envgraph.NEIGHBORHOOD_MODES, default="knn")
     p.add_argument("--epsilon", type=float, default=0.0,
                    help="neighborhood radius in radians (epsilon mode)")
     p.add_argument("--out", required=True, help="output directory")
@@ -546,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark grid")
     p.add_argument("--envs", nargs="+", default=[], help="environment files or gen: specs")
-    p.add_argument("--algos", default="so3,quat,mrp",
+    p.add_argument("--algos", default=",".join(ALGO_TOKENS),
                    type=lambda text: [a.strip() for a in text.split(",") if a.strip()],
                    help="comma-separated algorithms")
     p.add_argument("--seeds", type=_parse_seeds, default="0",

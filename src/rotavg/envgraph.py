@@ -23,6 +23,7 @@ from . import rotmath
 # Seed derivation for connectivity retries: seed' = seed * GOLDEN + attempt.
 _GOLDEN = 0x9E3779B9
 _MAX_CONNECTIVITY_ATTEMPTS = 100
+NEIGHBORHOOD_MODES = ("knn", "epsilon")
 
 
 class ConnectivityFailure(RuntimeError):
@@ -36,7 +37,7 @@ class GeneratorConfig:
     n_nodes: int
     k_neighbors: int = 3
     seed: int = 0
-    neighborhood_mode: str = "knn"  # "knn" or "epsilon"
+    neighborhood_mode: str = "knn"  # one of NEIGHBORHOOD_MODES
     epsilon: float = 0.0            # ball radius in radians (epsilon mode)
 
     def validate(self) -> None:
@@ -44,7 +45,7 @@ class GeneratorConfig:
             raise ValueError("n_nodes must be >= 2")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
-        if self.neighborhood_mode not in ("knn", "epsilon"):
+        if self.neighborhood_mode not in NEIGHBORHOOD_MODES:
             raise ValueError(f"unknown neighborhood_mode {self.neighborhood_mode!r}")
         if self.neighborhood_mode == "epsilon" and not self.epsilon > 0.0:
             raise ValueError("epsilon mode requires epsilon > 0")

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import rotavg
-from rotavg import averaging
+from rotavg import averaging, envgraph
 from rotavg import io as envio
 from rotavg import rotmath
 from rotavg.averaging import EstimateSet, OptimizerConfig
-from rotavg.cli import (_GEN_KEYS, _PLAN_FIELDS, _RUN_PARAMS, _build_config, _parse_seeds,
-                        aggregate_rows, build_parser, main, render_aggregate)
+from rotavg.cli import (ALGO_TOKENS, _GEN_KEYS, _PLAN_FIELDS, _RUN_PARAMS, _build_config,
+                        _parse_seeds, aggregate_rows, build_parser, main, render_aggregate)
 from rotavg.envgraph import GeneratorConfig
 from conftest import random_quats
 
@@ -81,10 +81,13 @@ class TestRun:
         assert rows[0].algorithm == "quat" and rows[0].seed == 0
 
     def test_inert_clamp_warning(self, tmp_path, capsys):
-        rc = run_cli("run", "--env", "gen:n=8,seed=1", "--algo", "mrp",
-                     "--eta", 1e9, "--iters", 10, "--out", tmp_path)
-        assert rc == 0
-        assert "clamp" in capsys.readouterr().err
+        # run warns once; bench warns once per mrp config, never for quat
+        for argv in (["run", "--algo", "mrp", "--env"],
+                     ["bench", "--algos", "mrp,quat", "--seeds", "0,1", "--envs"]):
+            rc = run_cli(*argv, "gen:n=8,seed=1", "--eta", 1e9, "--iters", 10,
+                         "--out", tmp_path / argv[0])
+            assert rc == 0
+            assert capsys.readouterr().err.count("clamp") == 1
 
     def test_save_estimates(self, tmp_path):
         rc = run_cli("run", "--env", "gen:n=8,seed=1", "--algo", "mrp",
@@ -304,11 +307,63 @@ class TestBench:
         assert [r.algorithm for r in envio.load_summary(out / "summary.csv")] == ["quat"] * 4
 
     def test_bad_jobs_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # 0 is a value, not a missing flag: it must not fall through to the default
+        assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--jobs", 0,
+                       "--out", tmp_path / "zero") == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "zero").exists()
         assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--jobs", -1,
                        "--out", tmp_path) == 1
         monkeypatch.setenv("ROTAVG_JOBS", "abc")
         assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--out", tmp_path) == 1
         assert "ROTAVG_JOBS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("files, dirs", [
+        (["a/env.txt", "b/env.txt"], ["env", "env__2"]),
+        (["a/env.txt", "b/env.txt", "c/env__2.txt"], ["env", "env__3", "env__2"]),
+    ])
+    def test_each_source_gets_its_own_directory(self, tmp_path, files, dirs):
+        for seed, name in enumerate(files):
+            run_cli("gen", "--n", 10, "--seed", seed, "--out", tmp_path / "gen")
+            (tmp_path / name).parent.mkdir()
+            (tmp_path / "gen" / f"env_{seed}.txt").rename(tmp_path / name)
+        out = tmp_path / "bench"
+        rc = run_cli("bench", "--envs", *(tmp_path / name for name in files), "--algos", "mrp",
+                     "--seeds", 0, "--iters", 50, "--out", out)
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == sorted(dirs)
+        for name, d in zip(files, dirs):  # each trace is its own source's run
+            assert run_cli("run", "--env", tmp_path / name, "--algo", "mrp", "--iters", 50,
+                           "--out", tmp_path / "run" / d) == 0
+            trace = (out / d / "trace_mrp_0.csv").read_bytes()
+            assert trace == (tmp_path / "run" / d / "trace_mrp_0.csv").read_bytes()
+
+    def test_runs_without_ground_truth_are_left_out_of_convergence(self, tmp_path):
+        env = rotavg.generate_uniform_env(GeneratorConfig(10, seed=2))
+        envio.save_env(env, tmp_path / "gt.txt")
+        envio.save_env(rotavg.RotationEnvironment(env.n_nodes, env.edge_index, env.edge_quats),
+                       tmp_path / "nogt.txt")
+
+        def aggregate(*envs):
+            out = tmp_path / "bench" / "-".join(envs)
+            assert run_cli("bench", "--envs", *(tmp_path / e for e in envs), "--algos",
+                           "mrp,quat", "--seeds", "0-1", "--iters", 300, "--out", out) == 0
+            assert run_cli("aggregate", "--summary", out / "summary.csv", "--iters", 300,
+                           "--out", out / "redo") == 0
+            for name in ("aggregate.txt", "aggregate.csv"):
+                assert (out / "redo" / name).read_bytes() == (out / name).read_bytes()
+            header, *rows = [line.split(",") for line in
+                             (out / "aggregate.csv").read_text().splitlines()]
+            return header, {row[0]: dict(zip(header, row)) for row in rows}
+
+        header, alone = aggregate("nogt.txt")
+        _, truth = aggregate("gt.txt")
+        _, mixed = aggregate("nogt.txt", "gt.txt")
+        measured = [h for h in header if h.startswith(("conv%", "steps_"))]
+        for algo in ("mrp", "quat"):
+            assert (alone[algo]["runs"], mixed[algo]["runs"]) == ("2", "4")
+            assert [alone[algo][h] for h in measured] == [""] * len(measured)
+            assert [mixed[algo][h] for h in measured] == [truth[algo][h] for h in measured]
 
     def test_unknown_algorithm_is_usage_error(self, tmp_path):
         rc = run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "euler",
@@ -356,6 +411,23 @@ class TestSettingTables:
         bench = self.dests("bench")
         assert set(_RUN_PARAMS) <= run & bench & set(_PLAN_FIELDS)
         assert set(_PLAN_FIELDS) <= bench  # a bench starts from its flags, then reads its plan
+
+    @staticmethod
+    def choices(command, dest):
+        sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+        return next(a for a in sub._actions if a.dest == dest).choices
+
+    def test_algorithm_registry_and_choice_lists_have_one_owner(self):
+        table = list(averaging.ALGORITHM_TABLE)
+        assert list(averaging.STEP_FUNCTIONS) == list(averaging.ALGORITHMS) == table
+        assert sorted(ALGO_TOKENS.values()) == sorted(table)
+        assert self.choices("run", "algo") == tuple(ALGO_TOKENS)
+        assert {a.parameterization for a in averaging.ALGORITHM_TABLE.values()} \
+            <= set(averaging.VALUE_SHAPES)
+        assert vars(build_parser().parse_args(["bench"]))["algos"] == list(ALGO_TOKENS)
+        assert self.choices("gen", "mode") == envgraph.NEIGHBORHOOD_MODES
+        assert self.choices("run", "init") == self.choices("bench", "init") \
+            == averaging.INIT_MODES
 
     def test_gen_keys_are_generator_fields_and_gen_flags(self):
         names = {f.name for f in fields(GeneratorConfig)}
