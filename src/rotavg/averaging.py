@@ -238,27 +238,24 @@ class _JoinedGraph:
     """Disjoint union of several runs' neighborhood graphs.
 
     Member r owns nodes start_r .. start_r + N_r - 1 of the joint
-    estimates.  The neighbor arrays mirror the RotationEnvironment ones
-    the step functions read, but hold each distinct environment once,
-    with its node ids kept local: members on one environment share its
-    arrays, and a single shared environment is not copied at all.
+    estimates.  The neighbor slot arrays hold each distinct environment
+    once, with its node ids kept local: members on one environment share
+    them, and a single shared environment is not copied at all.  Counts
+    and offsets are per joint node, each shifted by its environment's first slot.
     """
 
     def __init__(self, envs, batch_size: int):
         self._distinct = list({id(env): env for env in envs}.values())
-        rows = np.cumsum([0] + [env.n_nodes for env in self._distinct[:-1]])
-        row_of = {id(env): row for env, row in zip(self._distinct, rows)}
+        slots = np.cumsum([0] + [env.nbr_ids.size for env in self._distinct[:-1]])
+        shift = {id(env): slot for env, slot in zip(self._distinct, slots)}
         self.sizes = [env.n_nodes for env in envs]
         starts = np.cumsum([0] + self.sizes[:-1])
-        self.n_nodes = sum(self.sizes)
         self.nbr_ids = _join([env.nbr_ids for env in self._distinct])
         self.nbr_quats = _join([env.nbr_quats for env in self._distinct])
-        self.nbr_counts = _join([env.nbr_counts for env in self._distinct])
-        self.nbr_offsets = np.concatenate([[0], np.cumsum(self.nbr_counts)])
-        # per slot of a joined batch: the member's first node in the joint
-        # estimates, and its environment's first row in the arrays above
+        self.nbr_counts = np.concatenate([env.nbr_counts for env in envs])
+        self.nbr_offsets = np.concatenate([env.nbr_offsets[:-1] + shift[id(env)] for env in envs])
+        # per slot of a joined batch: the member's first node in the joint estimates
         self.batch_starts = np.repeat(starts, batch_size)
-        self.batch_rows = np.repeat([row_of[id(env)] for env in envs], batch_size)
 
     @cached_property
     def nbr_mats(self) -> np.ndarray:
@@ -277,10 +274,10 @@ def _sample_batch(env, batch_size, rng):
             [g.permutation(n)[:batch_size] for g, n in zip(rng, env.sizes)]
         )
         u = np.concatenate([g.random(batch_size) for g in rng])
-        rows = local + env.batch_rows
-        slot = (u * env.nbr_counts[rows]).astype(np.int64)
-        sel = env.nbr_offsets[rows] + slot
-        return local + env.batch_starts, env.nbr_ids[sel] + env.batch_starts, sel
+        idx = local + env.batch_starts
+        slot = (u * env.nbr_counts[idx]).astype(np.int64)
+        sel = env.nbr_offsets[idx] + slot
+        return idx, env.nbr_ids[sel] + env.batch_starts, sel
     idx = rng.permutation(env.n_nodes)[:batch_size]
     u = rng.random(batch_size)
     slot = (u * env.nbr_counts[idx]).astype(np.int64)

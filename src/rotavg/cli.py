@@ -9,6 +9,8 @@ given its flags; rerunning overwrites its outputs byte-identically.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import re
@@ -314,10 +316,11 @@ def render_aggregate(milestones, stats, max_iters: int):
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     text = "\n".join(lines) + "\n"
 
-    csv_lines = [",".join(headers)]
-    for row in table:
-        csv_lines.append(",".join(cell.rstrip("%") for cell in row))
-    return text, "\n".join(csv_lines) + "\n"
+    # the dialect of io's CSV writer, so a name with a comma or a quote stays one cell
+    csv_text = io.StringIO()
+    csv.writer(csv_text, lineterminator="\n").writerows(
+        [headers] + [[cell.rstrip("%") for cell in row] for row in table])
+    return text, csv_text.getvalue()
 
 
 def _write_aggregate(rows, max_iters, out_dir) -> None:
@@ -435,16 +438,18 @@ def cmd_bench(args) -> int:
     if not out_dir:
         raise UsageError("no output directory given")
     for what, values in (("environment", envs), ("algorithm", algos), ("seed", seeds)):
-        repeats = [v for k, v in enumerate(values) if v in values[:k]]
-        if repeats:
-            raise UsageError(f"{what} {repeats[0]!r} is repeated in the bench grid")
+        seen = set()
+        for v in values:
+            if v in seen:
+                raise UsageError(f"{what} {v!r} is repeated in the bench grid")
+            seen.add(v)
     configs = {algo: _build_config(algo, settings) for algo in algos}
     # a malformed spec is a usage error; one that fails to generate fails its own cells
     for env in envs:
         if env.startswith("gen:"):
             _parse_gen_spec(env)
     jobs = os.environ.get("ROTAVG_JOBS", "1") if args.jobs is None else args.jobs
-    if not str(jobs).isdigit() or int(jobs) < 1:
+    if not str(jobs).isdecimal() or int(jobs) < 1:
         raise UsageError(f"--jobs (or ROTAVG_JOBS) must be an integer >= 1, got {jobs!r}")
     jobs = int(jobs)
     os.makedirs(out_dir, exist_ok=True)

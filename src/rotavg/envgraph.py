@@ -186,11 +186,6 @@ def neighborhood_of(env: RotationEnvironment, i: int) -> list[tuple[int, np.ndar
     return [(int(j), q) for j, q in zip(env.nbr_ids[lo:hi], env.nbr_quats[lo:hi])]
 
 
-def _pairwise_geodesic(mats: np.ndarray) -> np.ndarray:
-    flat = mats.reshape(len(mats), 9)
-    return rotmath.angle_from_trace(flat @ flat.T)
-
-
 def generate_uniform_env(cfg: GeneratorConfig) -> RotationEnvironment:
     """Synthetic environment with Haar-uniform ground truth and exact edges.
 
@@ -209,15 +204,25 @@ def generate_uniform_env(cfg: GeneratorConfig) -> RotationEnvironment:
         rng = np.random.default_rng(derived)
         quats = rotmath.sample_uniform_rotation(rng, n)
         mats = rotmath.quat_to_matrix(quats)
-        dist = _pairwise_geodesic(mats)
-        np.fill_diagonal(dist, np.inf)
-
-        if cfg.neighborhood_mode == "knn":
-            nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
-            rows = np.repeat(np.arange(n), k)
-            cols = nearest.reshape(-1)
-        else:
-            rows, cols = np.nonzero(dist < cfg.epsilon)
+        flat = mats.reshape(n, 9)
+        # no angle exceeds pi, so a radius of pi or more takes every pair
+        threshold = 1.0 + 2.0 * np.cos(cfg.epsilon) if cfg.epsilon < np.pi else -np.inf
+        # trace(R_i R_j^T) = 1 + 2 cos(angle): the nearest pairs have the largest
+        # traces.  They are ranked a panel of rows at a time, so no N x N array is made.
+        panel, row_parts, col_parts = 256, [], []
+        for i0 in range(0, n, panel):
+            trace = flat[i0:i0 + panel] @ flat.T
+            local = np.arange(len(trace))
+            trace[local, i0 + local] = -np.inf
+            if cfg.neighborhood_mode == "knn":
+                row_parts.append(np.repeat(i0 + local, k))
+                col_parts.append(np.argpartition(trace, n - k, axis=1)[:, n - k:].reshape(-1))
+            else:
+                r, c = np.nonzero(trace > threshold)
+                row_parts.append(i0 + r)
+                col_parts.append(c)
+        rows = np.concatenate(row_parts)
+        cols = np.concatenate(col_parts)
         lo = np.minimum(rows, cols)
         hi = np.maximum(rows, cols)
         pairs = np.unique(lo * n + hi)
@@ -235,9 +240,11 @@ def generate_uniform_env(cfg: GeneratorConfig) -> RotationEnvironment:
             n, np.stack([i, j], axis=1), rel, ground_truth=quats
         )
 
+    setting = f"epsilon={cfg.epsilon}" if cfg.neighborhood_mode == "epsilon" \
+        else f"k_neighbors={cfg.k_neighbors}"
     raise ConnectivityFailure(
         f"no connected graph after {_MAX_CONNECTIVITY_ATTEMPTS} attempts "
-        f"(n_nodes={cfg.n_nodes}, k_neighbors={cfg.k_neighbors}, "
+        f"(n_nodes={cfg.n_nodes}, {setting}, "
         f"mode={cfg.neighborhood_mode}); the config is likely too sparse"
     )
 

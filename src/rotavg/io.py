@@ -544,7 +544,8 @@ def _load_gt_table(path) -> dict[int, np.ndarray]:
             continue
         tokens = line.split()
         if len(tokens) != 5:
-            raise ParseError(path, line_no, f"expected 'i q_w q_x q_y q_z', got {len(tokens)} columns")
+            raise ParseError(path, line_no,
+                             f"expected 'i q_w q_x q_y q_z', got {len(tokens)} columns")
         try:
             node = int(np.int64(tokens[0]))
         except (ValueError, OverflowError):  # ids must fit int64

@@ -175,10 +175,7 @@ def exp_so3(v) -> np.ndarray:
 
 def angle_from_trace(tr) -> np.ndarray:
     """Rotation angle in [0, pi] (radians) of rotations with trace tr."""
-    # clip and arccos in place on the one new array, so an (N, N) input
-    # costs one more N x N array of memory rather than three
-    cos = np.asarray((tr - 1.0) / 2.0)
-    return np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos)[()]
+    return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
 
 
 def rotation_angle(m) -> np.ndarray:

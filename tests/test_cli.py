@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -317,6 +318,16 @@ class TestBench:
         monkeypatch.setenv("ROTAVG_JOBS", "abc")
         assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--out", tmp_path) == 1
         assert "ROTAVG_JOBS" in capsys.readouterr().err
+        # a digit that is not a decimal digit: int() cannot read it
+        monkeypatch.setenv("ROTAVG_JOBS", "\u00b2")
+        assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--out", tmp_path / "sq") == 1
+        assert "--jobs (or ROTAVG_JOBS)" in capsys.readouterr().err
+        assert not (tmp_path / "sq").exists()
+
+    def test_non_ascii_decimal_jobs_are_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ROTAVG_JOBS", "\u0661")  # ARABIC-INDIC DIGIT ONE
+        assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "mrp",
+                       "--iters", 10, "--out", tmp_path) == 0
 
     @pytest.mark.parametrize("files, dirs", [
         (["a/env.txt", "b/env.txt"], ["env", "env__2"]),
@@ -462,6 +473,20 @@ class TestAggregateLogic:
         assert s["steps_max"] is None  # rendered as the NotConverged token
         text, csv_text = render_aggregate(*aggregate_rows(rows, 300_000), 300_000)
         assert envio.NOT_CONVERGED in text and envio.NOT_CONVERGED in csv_text
+
+
+class TestAggregateCsv:
+    def test_names_with_commas_and_quotes_stay_one_cell(self, tmp_path):
+        names = ["a,b", 'say "hi"']
+        rows = [envio.SummaryRow("env", name, 0, 10.0, 50, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+                for name in names]
+        envio.export_summary(rows, tmp_path / "summary.csv")
+        assert run_cli("aggregate", "--summary", tmp_path / "summary.csv", "--iters", 300,
+                       "--out", tmp_path) == 0
+        with open(tmp_path / "aggregate.csv", newline="", encoding="utf-8") as fh:
+            header, *table = csv.reader(fh)
+        assert all(len(row) == len(header) for row in table)
+        assert sorted(row[0] for row in table) == sorted(names)
 
 
 class TestImportEval:

@@ -127,6 +127,61 @@ class TestGenerator:
             GeneratorConfig(n_nodes=5, neighborhood_mode="epsilon").validate()
 
 
+def angle_rule_pairs(cfg, mats):
+    """Neighbor pairs by the angle rule, the oracle for the generator: the
+    k smallest pair angles of each node, or every pair angle below epsilon."""
+    n = len(mats)
+    flat = mats.reshape(n, 9)
+    angle = rotmath.angle_from_trace(flat @ flat.T)
+    np.fill_diagonal(angle, np.inf)
+    if cfg.neighborhood_mode == "knn":
+        k = min(cfg.k_neighbors, n - 1)
+        rows = np.repeat(np.arange(n), k)
+        cols = np.argpartition(angle, k - 1, axis=1)[:, :k].reshape(-1)
+    else:
+        rows, cols = np.nonzero(angle < cfg.epsilon)
+    return {(min(a, b), max(a, b)) for a, b in zip(rows.tolist(), cols.tolist())}
+
+
+class TestNeighborRule:
+    """The generator ranks pairs by trace; its edges are the angle rule's."""
+
+    @pytest.mark.parametrize("n, k, seed", [
+        (2, 1, 0), (6, 1, 0), (6, 1, 1), (12, 1, 3), (12, 1, 7),
+        *((n, k, seed) for n in (30, 100, 577) for k in (3, 4) for seed in range(3)),
+    ])
+    def test_knn(self, n, k, seed):
+        cfg = GeneratorConfig(n_nodes=n, k_neighbors=k, seed=seed)
+        env = generate_uniform_env(cfg)
+        assert {tuple(e) for e in env.edge_index.tolist()} == \
+            angle_rule_pairs(cfg, env.ground_truth)
+
+    @pytest.mark.parametrize("n, epsilon", [
+        (2000, 0.45), (200, 0.9), (40, 1.9), (40, np.pi), (12, np.pi), (40, 4.0),
+    ])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_epsilon(self, n, epsilon, seed):
+        cfg = GeneratorConfig(n_nodes=n, seed=seed, neighborhood_mode="epsilon",
+                              epsilon=epsilon)
+        env = generate_uniform_env(cfg)
+        expected = angle_rule_pairs(cfg, env.ground_truth)
+        assert {tuple(e) for e in env.edge_index.tolist()} == expected
+        if epsilon >= np.pi:
+            assert len(expected) == n * (n - 1) // 2
+
+    def test_connectivity_failure_names_the_sizing_setting(self):
+        cfg = GeneratorConfig(n_nodes=30, seed=0, neighborhood_mode="epsilon", epsilon=0.9)
+        with pytest.raises(ConnectivityFailure) as info:
+            generate_uniform_env(cfg)
+        assert "(n_nodes=30, epsilon=0.9, mode=epsilon)" in str(info.value)
+        assert "k_neighbors" not in str(info.value)
+        with pytest.raises(ConnectivityFailure) as info:
+            generate_uniform_env(GeneratorConfig(n_nodes=60, k_neighbors=1, seed=3))
+        assert str(info.value) == (
+            "no connected graph after 100 attempts (n_nodes=60, k_neighbors=1, mode=knn); "
+            "the config is likely too sparse")
+
+
 class TestEnvironmentValidation:
     def setup_method(self):
         rng = np.random.default_rng(0)

@@ -1,7 +1,7 @@
 """No rotavg module imports, or reads as an attribute, an underscore name
 of another rotavg module: what one module needs from another is public.
 And io reads every file it loads through one line source and writes every
-file through one of two writers."""
+file through one of two writers.  No src line exceeds 99 characters."""
 
 import ast
 from pathlib import Path
@@ -145,3 +145,14 @@ def test_detects_every_kind_of_write(tmp_path):
                     "def f(p):\n    return p.write_text('')\n"
                     "def g(p):\n    return p.write_bytes(b'')\n")
     assert file_writers(path) == {"a", "b", "c", "d", "e", "f", "g"}
+
+
+MAX_LINE = 99
+
+
+def test_no_src_line_is_too_long():
+    long = [f"{path.name}:{line_no}: {len(line)}"
+            for path in sorted(SRC.glob("*.py"))
+            for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > MAX_LINE]
+    assert long == []

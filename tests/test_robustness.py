@@ -156,6 +156,7 @@ class TestBenchGridRepeats:
         (["--envs", "gen:n=10,seed=0", "--algos", "mrp,so3,mrp"], "algorithm 'mrp'"),
         (["--envs", "gen:n=10,seed=0", "--seeds", "0,0"], "seed 0"),
         (["--envs", "gen:n=10,seed=0", "--seeds", "0-2,1"], "seed 1"),
+        (["--envs", "gen:n=10,seed=0", "--seeds", "0-19999,7"], "seed 7"),
     ])
     def test_flags(self, tmp_path, capsys, flags, repeat):
         assert run_cli("bench", *flags, "--iters", 10, "--out", tmp_path / "out") == 1
