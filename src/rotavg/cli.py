@@ -9,8 +9,6 @@ given its flags; rerunning overwrites its outputs byte-identically.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import re
@@ -61,15 +59,16 @@ def _checked(cfg):
     return cfg
 
 
-# gen spec keys, which are also the gen command's flags -> (GeneratorConfig field, type)
+# gen spec keys, which are also the gen command's flags -> (GeneratorConfig field, type);
+# a key left out takes its value from _GEN_DEFAULTS: GeneratorConfig's defaults, at 100 nodes
 _GEN_KEYS = {"n": ("n_nodes", int), "k": ("k_neighbors", int), "seed": ("seed", int),
              "mode": ("neighborhood_mode", str), "epsilon": ("epsilon", float)}
+_GEN_DEFAULTS = GeneratorConfig(n_nodes=100)
 
 
 def _gen_config(**values) -> GeneratorConfig:
-    """A checked GeneratorConfig from gen spec keys (n defaults to 100)."""
-    fields = {_GEN_KEYS[k][0]: v for k, v in {"n": 100, **values}.items()}
-    return _checked(GeneratorConfig(**fields))
+    """A checked GeneratorConfig from gen spec keys."""
+    return _checked(replace(_GEN_DEFAULTS, **{_GEN_KEYS[k][0]: v for k, v in values.items()}))
 
 
 def _parse_gen_spec(spec: str) -> GeneratorConfig:
@@ -315,19 +314,14 @@ def render_aggregate(milestones, stats, max_iters: int):
     for row in table:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     text = "\n".join(lines) + "\n"
-
-    # the dialect of io's CSV writer, so a name with a comma or a quote stays one cell
-    csv_text = io.StringIO()
-    csv.writer(csv_text, lineterminator="\n").writerows(
-        [headers] + [[cell.rstrip("%") for cell in row] for row in table])
-    return text, csv_text.getvalue()
+    return text, envio.csv_text(headers, [[cell.rstrip("%") for cell in row] for row in table])
 
 
 def _write_aggregate(rows, max_iters, out_dir) -> None:
     milestones, stats = aggregate_rows(rows, max_iters)
     text, csv_text = render_aggregate(milestones, stats, max_iters)
-    (Path(out_dir) / "aggregate.txt").write_text(text, encoding="utf-8")
-    (Path(out_dir) / "aggregate.csv").write_text(csv_text, encoding="utf-8")
+    envio.write_text(Path(out_dir) / "aggregate.txt", text)
+    envio.write_text(Path(out_dir) / "aggregate.csv", csv_text)
     print(text, end="")
 
 
@@ -465,14 +459,13 @@ def cmd_bench(args) -> int:
         for env, algo, seed in cells
         if isinstance(outcomes[env, algo, seed], str)
     ]
+    failures = Path(out_dir) / "failures.txt"
+    failures.unlink(missing_ok=True)  # a reused --out keeps no earlier grid's failures
     if failure_lines:
-        (Path(out_dir) / "failures.txt").write_text(
-            "\n".join(failure_lines) + "\n", encoding="utf-8"
-        )
+        envio.write_text(failures, "\n".join(failure_lines) + "\n")
         for line in failure_lines:
             print(f"failed: {line}", file=sys.stderr)
-    if rows:
-        _write_aggregate(rows, settings["iters"], out_dir)
+    _write_aggregate(rows, settings["iters"], out_dir)
     return EXIT_DATA if failure_lines else EXIT_OK
 
 
@@ -511,7 +504,7 @@ def cmd_eval(args) -> int:
              for name in names if getattr(rec, name) is not None]
     report = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
+        envio.write_text(args.out, report)
     print(report, end="")
     return EXIT_OK
 
@@ -534,12 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate synthetic environments")
-    p.add_argument("--n", type=int, default=100, help="nodes per environment")
-    p.add_argument("--k", type=int, default=3, help="nearest neighbors")
-    p.add_argument("--seed", type=int, default=0, help="first seed")
+    p.add_argument("--n", type=int, default=_GEN_DEFAULTS.n_nodes, help="nodes per environment")
+    p.add_argument("--k", type=int, default=_GEN_DEFAULTS.k_neighbors, help="nearest neighbors")
+    p.add_argument("--seed", type=int, default=_GEN_DEFAULTS.seed, help="first seed")
     p.add_argument("--count", type=int, default=1, help="number of environments")
-    p.add_argument("--mode", choices=envgraph.NEIGHBORHOOD_MODES, default="knn")
-    p.add_argument("--epsilon", type=float, default=0.0,
+    p.add_argument("--mode", choices=envgraph.NEIGHBORHOOD_MODES,
+                   default=_GEN_DEFAULTS.neighborhood_mode)
+    p.add_argument("--epsilon", type=float, default=_GEN_DEFAULTS.epsilon,
                    help="neighborhood radius in radians (epsilon mode)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
@@ -602,8 +596,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (envio.ParseError, envio.ChecksumMismatch, envio.EmptyGraph,
-            ConnectivityFailure, OSError, ValueError) as exc:
+    except (ValueError, ConnectivityFailure, OSError) as exc:  # io's errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - invariant violations

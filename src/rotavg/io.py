@@ -15,6 +15,7 @@ import hashlib
 import math
 import re
 from dataclasses import astuple, dataclass, fields, replace
+from io import StringIO
 
 import numpy as np
 
@@ -106,12 +107,17 @@ def _streamed_lines(path, newline=None):
         raise ParseError(path, line_no + 1, "invalid UTF-8 at or after this line") from None
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 with LF line ends: rotavg's one file writer."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _write_checksummed(lines: list[str], path) -> None:
     """Write ``lines`` and then the checksum line: the SHA-256 of the UTF-8
     of those lines, each ended by LF."""
     payload = "".join(line + "\n" for line in lines)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{payload}checksum {hashlib.sha256(payload.encode('utf-8')).hexdigest()}\n")
+    write_text(path, f"{payload}checksum {hashlib.sha256(payload.encode()).hexdigest()}\n")
 
 
 def _is_content(line: str) -> bool:
@@ -582,18 +588,18 @@ def _csv_rows(path, columns, what: str):
         raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
 
 
-def _write_csv(path, columns, rows) -> None:
-    """Write the header row ``columns``, then each row of values as cells."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(map(_cell, row) for row in rows)
+def csv_text(columns, rows) -> str:
+    """The CSV text of the header row ``columns`` and then of each row of
+    values as cells, with LF row ends: the one CSV dialect rotavg writes."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([columns, *(map(_cell, row) for row in rows)])
+    return buf.getvalue()
 
 
 def export_trace(trace, path) -> None:
     """Write checkpoint records as CSV; empty cells where a metric is
     unavailable (no ground truth)."""
-    _write_csv(path, TRACE_COLUMNS, map(astuple, trace))
+    write_text(path, csv_text(TRACE_COLUMNS, map(astuple, trace)))
 
 
 def load_trace(path) -> list[TraceRecord]:
@@ -621,7 +627,7 @@ def export_summary(rows, path) -> None:
             row = replace(row, steps_to_5deg=NOT_CONVERGED)
         return astuple(row)
 
-    _write_csv(path, SUMMARY_COLUMNS, map(values, rows))
+    write_text(path, csv_text(SUMMARY_COLUMNS, map(values, rows)))
 
 
 def load_summary(path) -> list[SummaryRow]:

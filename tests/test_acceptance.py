@@ -4,7 +4,9 @@ The 1DSfM-dependent checks need the downloaded dataset and are skipped
 with a notice when it is absent; point ROTAVG_1DSFM_DIR at a directory
 holding per-scene edge lists (see README)."""
 
+import importlib.util
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -200,6 +202,7 @@ def test_criterion_4_gradient_correctness():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_scaled_table_reproduction():
     seeds = range(10)
     envs = [generate_uniform_env(GeneratorConfig(n_nodes=100, k_neighbors=3, seed=seed))
@@ -312,6 +315,51 @@ def test_criterion_6_1dsfm_protocol():
         detail += f"; Ellis Island mrp abs {ellis_abs:.2f} deg"
 
     report(6, "1dsfm protocol", ok, detail)
+
+
+# criterion 6's configs on the in-repo stand-in: 2,000 steps covers mrp's
+# 800-1,200 steps to 5 degrees with a margin, where quaternion needs 7,200+
+STANDIN_BUDGET = 2000
+STANDIN_MRP_STEPS = 1600
+
+
+def _perfbench_inputs():
+    """perfbench/inputs.py, which writes the 1DSfM-format stand-in scenes."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_criterion_6_standin_regime(tmp_path):
+    """Batch 64 on noisy edges with outliers: the regime criterion 6 gates
+    on 1DSfM, here on stand-in scenes 101-103 with run seeds 0-4.  Every
+    mrp run reaches 5 degrees by STANDIN_MRP_STEPS and before every
+    quaternion run (a run that never does counts at the budget), and ends
+    within criterion 6's 12 degrees of absolute error."""
+    inputs = _perfbench_inputs()
+    envs = []
+    for scene in (101, 102, 103):
+        eg, gt = inputs.write_sfm_scene(inputs.WORKLOADS["sfm_n577"], scene, tmp_path / str(scene))
+        envs.append(envio.import_1dsfm(eg, gt_path=gt)[0])
+    members = [(env, seed) for env in envs for seed in range(5)]
+    steps, final_abs = {}, {}
+    for algo in ("mrp", "quaternion"):
+        cfgs = [OptimizerConfig(algorithm=algo, batch_size=64, max_iters=STANDIN_BUDGET,
+                                seed=seed, checkpoint_every=200) for _, seed in members]
+        traces = [trace for _, trace in run_ensemble([env for env, _ in members], cfgs)]
+        steps[algo] = [STANDIN_BUDGET if (s := metrics.steps_to_threshold(trace)) is None else s
+                       for trace in traces]
+        final_abs[algo] = [trace[-1].abs_mean_deg for trace in traces]
+
+    ok = (max(steps["mrp"]) <= STANDIN_MRP_STEPS
+          and max(steps["mrp"]) < min(steps["quaternion"])
+          and max(final_abs["mrp"]) <= 12.0)
+    report(6, "1dsfm stand-in regime", ok,
+           f"steps to 5 deg: mrp {min(steps['mrp'])}-{max(steps['mrp'])}, quaternion "
+           f"{min(steps['quaternion'])}-{max(steps['quaternion'])} (budget {STANDIN_BUDGET}); "
+           f"mrp abs <= {max(final_abs['mrp']):.2f} deg")
 
 
 def test_criterion_7_metric_properties():

@@ -490,6 +490,7 @@ class TestRunAveraging:
         with pytest.raises(ValueError, match="batch_size"):
             run_averaging(env, cfg)
 
+    @pytest.mark.slow
     def test_mrp_regression_n10(self):
         # frozen baseline: on exact N=10 environments the mean pairwise
         # error never rises between checkpoints past 1K steps and ends
@@ -569,6 +570,7 @@ class TestRunEnsemble:
             run_ensemble([big, tiny], cfgs)
 
 
+@pytest.mark.slow
 class TestDrift:
     # a million individual pair updates must not erode the representation
     # invariants

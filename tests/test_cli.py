@@ -15,7 +15,8 @@ from rotavg import io as envio
 from rotavg import rotmath
 from rotavg.averaging import EstimateSet, OptimizerConfig
 from rotavg.cli import (ALGO_TOKENS, _GEN_KEYS, _PLAN_FIELDS, _RUN_PARAMS, _build_config,
-                        _parse_seeds, aggregate_rows, build_parser, main, render_aggregate)
+                        _parse_gen_spec, _parse_seeds, aggregate_rows, build_parser, main,
+                        render_aggregate)
 from rotavg.envgraph import GeneratorConfig
 from conftest import random_quats
 
@@ -96,6 +97,21 @@ class TestRun:
         assert rc == 0
         est = envio.load_estimates(tmp_path / "estimates_mrp_0.txt")
         assert est.parameterization == "mrp" and est.n_nodes == 8
+
+    def test_run_without_ground_truth(self, tmp_path, capsys):
+        env = rotavg.generate_uniform_env(GeneratorConfig(10, seed=2))
+        envio.save_env(rotavg.RotationEnvironment(env.n_nodes, env.edge_index, env.edge_quats),
+                       tmp_path / "nogt.txt")
+        assert run_cli("run", "--env", tmp_path / "nogt.txt", "--algo", "mrp", "--iters", 100,
+                       "--out", tmp_path) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("finished; final mean relative error ")
+        assert out.endswith(" deg (no ground truth)\n")
+        [row] = envio.load_summary(tmp_path / "summary.csv")
+        assert row.nauc is row.steps_to_5deg is None
+        assert [row.final_ape_mean_deg, row.final_ape_median_deg, row.final_abs_mean_deg,
+                row.final_abs_median_deg] == [None] * 4
+        assert row.final_rel_mean_deg is not None
 
     def test_missing_env_is_data_error(self, tmp_path, capsys):
         rc = run_cli("run", "--env", tmp_path / "nope.txt", "--algo", "mrp",
@@ -271,7 +287,8 @@ class TestBench:
 
     @pytest.mark.parametrize("spec, named", [("gen:n=abc", "n='abc'"),
                                              ("gen:n=10,k=0", "k_neighbors"),
-                                             ("gen:size=10", "'size'")])
+                                             ("gen:size=10", "'size'"),
+                                             ("gen:n=10,k", "bad gen spec field 'k'")])
     def test_malformed_gen_spec_is_usage_error_before_any_cell(self, tmp_path, capsys,
                                                                spec, named):
         out = tmp_path / "bench"
@@ -376,6 +393,29 @@ class TestBench:
             assert [alone[algo][h] for h in measured] == [""] * len(measured)
             assert [mixed[algo][h] for h in measured] == [truth[algo][h] for h in measured]
 
+    def test_reused_out_keeps_nothing_of_an_earlier_grid(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+
+        def bench(*envs, iters=20):
+            return run_cli("bench", "--envs", *envs, "--algos", "mrp", "--iters", iters,
+                           "--out", out)
+
+        missing = tmp_path / "missing.txt"
+        assert bench("gen:n=10,seed=0", missing) == 2
+        assert (out / "failures.txt").exists()
+        assert bench("gen:n=10,seed=0") == 0
+        assert not (out / "failures.txt").exists()
+        capsys.readouterr()
+        # every cell fails: the aggregate is over 0 runs, and still a function of the summary
+        assert bench(missing, iters=30) == 2
+        assert capsys.readouterr().out.startswith("# aggregate over 0 runs, budget 30 steps\n")
+        assert envio.load_summary(out / "summary.csv") == []
+        assert (out / "failures.txt").read_text().startswith(f"{missing} mrp seed=0: ")
+        assert run_cli("aggregate", "--summary", out / "summary.csv", "--iters", 30,
+                       "--out", tmp_path / "redo") == 0
+        for name in ("aggregate.txt", "aggregate.csv"):
+            assert (tmp_path / "redo" / name).read_bytes() == (out / name).read_bytes()
+
     def test_unknown_algorithm_is_usage_error(self, tmp_path):
         rc = run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "euler",
                      "--out", tmp_path)
@@ -386,12 +426,32 @@ class TestGridUsageErrors:
     @pytest.mark.parametrize("seeds, named", [
         ("abc", "bad seed 'abc'"), ("0-x", "bad seed '0-x'"), ("0,3-1", "seed range '3-1'"),
         ("1-2-3", "bad seed '1-2-3'"), ("2-", "bad seed '2-'"), ("-1", "bad seed '-1'"),
+        (",", "empty seed list"),
     ])
     def test_bad_seed_list_names_the_token(self, tmp_path, capsys, seeds, named):
         assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "mrp",
                        "--seeds", seeds, "--iters", 10, "--out", tmp_path) == 1
         assert named in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, named", [
+        (["run"], "the following arguments are required: --env, --algo, --out"),
+        (["run", "--env", "gen:n=10", "--algo", "bogus", "--out", "OUT"],
+         "argument --algo: invalid choice: 'bogus'"),
+        (["gen", "--count", 0, "--out", "OUT"], "--count must be >= 1"),
+        (["bench", "--algos", "mrp", "--out", "OUT"], "no environments given"),
+        (["bench", "--envs", "gen:n=10", "--algos", ",", "--out", "OUT"], "empty algorithm list"),
+        (["bench", "--plan", "PLAN", "--out", "OUT"], "empty seed list"),
+        (["bench", "--envs", "gen:n=10"], "no output directory given"),
+    ])
+    def test_usage_error_names_the_problem(self, tmp_path, capsys, argv, named):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"envs": ["gen:n=10"], "seeds": []}')
+        out = tmp_path / "out"
+        argv = [{"OUT": out, "PLAN": plan}.get(a, a) for a in argv]
+        assert run_cli(*argv) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_lists_and_ranges(self):
         assert _parse_seeds("0-2, 5,7-7,") == [0, 1, 2, 5, 7]
@@ -444,6 +504,11 @@ class TestSettingTables:
         names = {f.name for f in fields(GeneratorConfig)}
         assert {field for field, _ in _GEN_KEYS.values()} == names
         assert set(_GEN_KEYS) <= self.dests("gen", "--out", "o")
+        flags = vars(build_parser().parse_args(["gen", "--out", "o"]))
+        defaults = GeneratorConfig(n_nodes=flags["n"])
+        assert {key: flags[key] for key in _GEN_KEYS} \
+            == {key: getattr(defaults, field) for key, (field, _) in _GEN_KEYS.items()}
+        assert _parse_gen_spec("gen:") == defaults  # a spec's keys default as the flags do
 
 
 class TestAggregateLogic:

@@ -142,6 +142,22 @@ class TestEnvParseErrors:
             envio.load_env(path)
         assert err.value.line_no == 4
 
+    # a graph fault that the rows alone do not show is named at the file's last line
+    @pytest.mark.parametrize("nodes, pairs, line_no, reason", [
+        (3, ["0 x", "1 2"], 5, "malformed edge endpoint"),
+        (3, ["0 1", "1 0", "1 2"], 7, "duplicate edge for an unordered node pair"),
+        (4, ["0 1", "0 2", "1 2"], 7, "environment graph is not connected"),
+        (1, ["0 1"], 4, "node count must be >= 2"),
+        (2, [], 4, "edge count must be >= 1"),
+    ])
+    def test_fault_names_its_line(self, tmp_path, nodes, pairs, line_no, reason):
+        path = tmp_path / "env.txt"
+        write_lines(path, ["ROTAVG-ENV 1", f"nodes {nodes}", "ground-truth 0",
+                           f"edges {len(pairs)}", *(f"edge {p} 1 0 0 0" for p in pairs)])
+        with pytest.raises(envio.ParseError, match=reason) as err:
+            envio.load_env(path)
+        assert err.value.line_no == line_no
+
 
 class TestEstimates:
     @pytest.mark.parametrize("param", ["so3_matrix", "quaternion", "mrp"])
@@ -226,6 +242,19 @@ class TestTraceFiles:
         row = path.read_text().splitlines()[1]
         assert row == "5,,,1.5,1.25,,"
         assert envio.load_trace(path) == [rec]
+
+    @pytest.mark.parametrize("rows, line_no, reason", [
+        (["0,1,1,1,1,1,1", "200,1,1,one,1,1,1"], 3, "malformed number"),
+        (["0,1,1,,1.25,1,1"], 2, "relative errors must be present"),
+        (["200,1,1,1,1,1,1", "0,1,1,1,1,1,1"], 3, "steps must be non-decreasing"),
+        (["x" * 200_000], 2, "malformed CSV: field larger than field limit"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, rows, line_no, reason):
+        path = tmp_path / "trace.csv"
+        write_lines(path, [",".join(envio.TRACE_COLUMNS), *rows])
+        with pytest.raises(envio.ParseError, match=reason) as err:
+            envio.load_trace(path)
+        assert err.value.line_no == line_no
 
 
 class TestSummaryFiles:
@@ -481,6 +510,13 @@ class TestImport1dsfm:
                 as err:
             envio.import_1dsfm(eg, gt_path=gt_file)
         assert err.value.line_no == 5
+
+    def test_ground_truth_file_without_rows_is_parse_error(self, tmp_path, rng):
+        eg, gt = tmp_path / "eg.txt", tmp_path / "gt.txt"
+        write_lines(eg, self.three_node_rows(rng)[1])
+        write_lines(gt, ["# no rows"])
+        with pytest.raises(envio.ParseError, match="no ground-truth rows"):
+            envio.import_1dsfm(eg, gt_path=gt)
 
     def test_empty_graph_raises(self, tmp_path):
         path = tmp_path / "junk.txt"

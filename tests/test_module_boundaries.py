@@ -1,7 +1,8 @@
 """No rotavg module imports, or reads as an attribute, an underscore name
 of another rotavg module: what one module needs from another is public.
-And io reads every file it loads through one line source and writes every
-file through one of two writers.  No src line exceeds 99 characters."""
+And io reads every file it loads through one line source, and io alone
+writes files, all through its write_text.  No src line exceeds 99
+characters."""
 
 import ast
 from pathlib import Path
@@ -23,23 +24,29 @@ def _rotavg_module(node: ast.ImportFrom) -> str | None:
     return None
 
 
+def bound_modules(tree) -> dict[str, str]:
+    """Local name -> the rotavg module it is bound to, for each module import in ``tree``."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _rotavg_module(node) == "":
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names
+                           if alias.name in MODULES)
+        elif isinstance(node, ast.Import):
+            modules.update((alias.asname, alias.name[len("rotavg."):]) for alias in node.names
+                           if alias.name.startswith("rotavg.") and alias.asname)
+    return modules
+
+
 def private_uses(path: Path) -> list[str]:
     """'line: what' for each use in ``path`` of another module's private name."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     own = path.stem
-    modules = {}  # local name -> the rotavg module it is bound to
+    modules = bound_modules(tree)
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (module := _rotavg_module(node)) is not None:
-            for alias in node.names:
-                if module == "" and alias.name in MODULES:
-                    modules[alias.asname or alias.name] = alias.name
-                elif module != own and _private(alias.name):
-                    found.append(f"{node.lineno}: from {module} import {alias.name}")
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith("rotavg.") and alias.asname:
-                    modules[alias.asname] = alias.name[len("rotavg."):]
+        if isinstance(node, ast.ImportFrom) and (module := _rotavg_module(node)) not in (None, own):
+            found += [f"{node.lineno}: from {module} import {alias.name}"
+                      for alias in node.names if _private(alias.name)]
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and modules.get(node.value.id, own) != own and _private(node.attr):
@@ -102,16 +109,18 @@ def test_detects_every_kind_of_read(tmp_path):
     assert file_readers(path) == {"_streamed_lines", "a", "b", "c", "d"}
 
 
-WRITERS = {"_write_checksummed", "_write_csv"}
+WRITER = "write_text"
 
 
 def file_writers(path: Path) -> set[str]:
     """Names of the functions in ``path`` that open a file for writing
     (``open`` or ``Path.open`` in a write, append, create or update mode,
-    or a mode that is not a literal) or call ``write_text`` or
-    ``write_bytes``."""
+    or a mode that is not a literal) or call the method ``write_text`` or
+    ``write_bytes`` of anything but rotavg's io module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = bound_modules(tree)
     writers = set()
-    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         for node in ast.walk(func):
@@ -120,7 +129,9 @@ def file_writers(path: Path) -> set[str]:
             callee = node.func.attr if isinstance(node.func, ast.Attribute) else \
                 getattr(node.func, "id", None)
             if callee in ("write_text", "write_bytes"):
-                writers.add(func.name)
+                owner = getattr(node.func, "value", None)
+                if owner is not None and modules.get(getattr(owner, "id", None)) != "io":
+                    writers.add(func.name)
             elif callee == "open":
                 args = node.args[1:] if isinstance(node.func, ast.Name) else node.args
                 mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
@@ -130,8 +141,9 @@ def file_writers(path: Path) -> set[str]:
     return writers
 
 
-def test_io_writes_files_only_through_its_two_writers():
-    assert file_writers(SRC / "io.py") == WRITERS
+def test_only_io_writes_files_and_only_through_write_text():
+    found = {p.name: file_writers(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: writers for name, writers in found.items() if writers} == {"io.py": {WRITER}}
 
 
 def test_detects_every_kind_of_write(tmp_path):
@@ -145,6 +157,15 @@ def test_detects_every_kind_of_write(tmp_path):
                     "def f(p):\n    return p.write_text('')\n"
                     "def g(p):\n    return p.write_bytes(b'')\n")
     assert file_writers(path) == {"a", "b", "c", "d", "e", "f", "g"}
+
+
+def test_calls_of_io_write_text_are_not_writes(tmp_path):
+    path = tmp_path / "cli.py"
+    path.write_text("from . import io as envio\nfrom .io import write_text\nimport rotavg.io as rio\n"
+                    "def a(p):\n    return envio.write_text(p, ''), write_text(p, '')\n"
+                    "def b(p):\n    return rio.write_text(p, '')\n"
+                    "def c(p, envgraph):\n    return envgraph.write_text('')\n")
+    assert file_writers(path) == {"c"}
 
 
 MAX_LINE = 99
