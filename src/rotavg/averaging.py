@@ -11,15 +11,17 @@ relative-rotation edges:
   projected space, choosing per pair whichever antipode of the target
   projects nearer, with the step norm clamped to ``eta``.
 
-A batch step samples ``batch_size`` distinct nodes, one uniformly random
-neighbor each, computes every update from the pre-step state, and applies
-them together; the neighbor values are anchors and never receive
-gradients.  The so3 and quaternion baselines mean-reduce over the batch
-(each sampled node moves by gamma / batch_size times its pair gradient,
-standard SGD batching); the mrp algorithm applies its per-sample rule at
-full strength, clamping each pair gradient to eta and scaling by gamma,
-since the clamp bounds per-update motion in the distorted projective
-space and its calibration is per sample.  At batch_size 1 all three
+A batch step samples b = ``batch_size`` distinct nodes, one uniformly
+random neighbor each, from 2b doubles of the run's stream: b pick the
+nodes by Floyd's algorithm, b their neighbor slots.  Runs draw blocks of
+steps at once, and the block size changes no output.  Every update comes
+from the pre-step state and all apply together; the neighbor values are
+anchors and never receive gradients.  The so3 and quaternion baselines
+mean-reduce over the batch (each sampled node moves by gamma / b times
+its pair gradient, standard SGD batching); mrp applies its per-sample
+rule at full strength, clamping each pair gradient to eta and scaling by
+gamma, since the clamp bounds per-update motion in the distorted
+projective space and its calibration is per sample.  At b = 1 all three
 reduce to the plain per-sample algorithms.  Runs are deterministic given
 the config seed.  ``run_ensemble`` steps several runs as one array
 program; each member's estimates and trace equal those of its lone run.
@@ -39,6 +41,8 @@ from . import metrics, rotmath
 # on an environment generated with the same integer s never starts from
 # the environment's own ground-truth draw.
 _RUN_STREAM = 0x524F5441
+# Steps of batches an ensemble draws at once; no output depends on it.
+_BLOCK = 256
 # Shape of one node's value in each parameterization.
 VALUE_SHAPES = {"so3_matrix": (3, 3), "quaternion": (4,), "mrp": (3,)}
 INIT_MODES = ("identity", "haar")
@@ -178,14 +182,14 @@ def _so3_pair_grads(r_i, r_j, rel):
     """Per-pair so3 loss |r|^2 and displacement r = log(R_i^T R(q_i_j) R_j),
     the tangent vector at R_i toward the pair target."""
     r = rotmath.log_so3(np.swapaxes(r_i, -1, -2) @ rel @ r_j)
-    return np.sum(r * r, axis=-1), r, None
+    return np.add.reduce(r * r, axis=-1), r, None
 
 
 def _quaternion_pair_grads(q_i, q_j, q_ij):
     """Per-pair loss 1 - <q_i, t>^2 and its R^4 gradient -2 <q_i, t> t,
     where t = q_i_j x q_j."""
     q_t = rotmath.quat_mul(q_ij, q_j)
-    dot = np.sum(q_i * q_t, axis=-1)
+    dot = np.add.reduce(q_i * q_t, axis=-1)
     return 1.0 - dot * dot, (-2.0 * dot)[..., None] * q_t, None
 
 
@@ -199,24 +203,14 @@ def _mrp_pair_grads(psi_i, psi_j, q_ij):
     gradient is folded into the learning rate.
     """
     target = rotmath.quat_mul(q_ij, rotmath.mrp_unproject(psi_j))
-    w = target[..., 0]
-    v = target[..., 1:]
-
-    plus_ok = w > -1.0 + rotmath.SOUTH_POLE_TOL
-    minus_ok = w < 1.0 - rotmath.SOUTH_POLE_TOL
-    psi_plus = v / np.where(plus_ok, 1.0 + w, 1.0)[..., None]
-    psi_minus = -v / np.where(minus_ok, 1.0 - w, 1.0)[..., None]
-
-    d_plus = psi_i - psi_plus
-    d_minus = psi_i - psi_minus
-    loss_plus = np.where(plus_ok, np.sum(d_plus * d_plus, axis=-1), np.inf)
-    loss_minus = np.where(minus_ok, np.sum(d_minus * d_minus, axis=-1), np.inf)
-
-    use_plus = loss_plus < loss_minus
-    loss = np.where(use_plus, loss_plus, loss_minus)
-    grad = np.where(use_plus[..., None], d_plus, d_minus)
-    sign = np.where(use_plus, 1, -1)
-    return loss, grad, sign
+    both = np.array([target, -target])  # the target and its antipode
+    w = both[..., 0]
+    ok = w > -1.0 + rotmath.SOUTH_POLE_TOL
+    d = psi_i - both[..., 1:] / np.where(ok, 1.0 + w, 1.0)[..., None]
+    loss = np.where(ok, np.add.reduce(d * d, axis=-1), np.inf)
+    use_plus = loss[0] < loss[1]
+    return (np.where(use_plus, loss[0], loss[1]), np.where(use_plus[..., None], d[0], d[1]),
+            np.where(use_plus, 1, -1))
 
 
 def mrp_loss_and_grad(psi_i, psi_j, q_ij):
@@ -241,48 +235,69 @@ class _JoinedGraph:
     estimates.  The neighbor slot arrays hold each distinct environment
     once, with its node ids kept local: members on one environment share
     them, and a single shared environment is not copied at all.  Counts
-    and offsets are per joint node, each shifted by its environment's first slot.
-    """
+    and offsets are per joint node, each shifted by its environment's first slot;
+    ``bounds`` and ``starts`` are each member's Floyd bounds and start_r."""
 
     def __init__(self, envs, batch_size: int):
         self._distinct = list({id(env): env for env in envs}.values())
         slots = np.cumsum([0] + [env.nbr_ids.size for env in self._distinct[:-1]])
         shift = {id(env): slot for env, slot in zip(self._distinct, slots)}
-        self.sizes = [env.n_nodes for env in envs]
-        starts = np.cumsum([0] + self.sizes[:-1])
+        sizes = np.array([env.n_nodes for env in envs])
+        self.starts = (np.cumsum(sizes) - sizes)[:, None, None]
+        self.bounds = np.array([_floyd_bounds(n, batch_size) for n in sizes])[:, None]
         self.nbr_ids = _join([env.nbr_ids for env in self._distinct])
         self.nbr_quats = _join([env.nbr_quats for env in self._distinct])
         self.nbr_counts = np.concatenate([env.nbr_counts for env in envs])
         self.nbr_offsets = np.concatenate([env.nbr_offsets[:-1] + shift[id(env)] for env in envs])
-        # per slot of a joined batch: the member's first node in the joint estimates
-        self.batch_starts = np.repeat(starts, batch_size)
 
     @cached_property
     def nbr_mats(self) -> np.ndarray:
         return _join([env.nbr_mats for env in self._distinct])
 
 
-def _sample_batch(env, batch_size, rng):
-    """Distinct nodes plus one uniform neighbor slot each.
+def _floyd_bounds(n_nodes: int, batch_size: int) -> np.ndarray:
+    """Floyd's pick t of b distinct nodes out of N is drawn below N - b + t + 1."""
+    return np.arange(n_nodes - batch_size + 1, n_nodes + 1)
 
-    On a joined graph ``rng`` holds one generator per member, and each
-    member draws permutation(N_r)[:batch_size] and then
-    random(batch_size): exactly the draws of a lone run on it.
-    """
-    if isinstance(env, _JoinedGraph):
-        local = np.concatenate(
-            [g.permutation(n)[:batch_size] for g, n in zip(rng, env.sizes)]
-        )
-        u = np.concatenate([g.random(batch_size) for g in rng])
-        idx = local + env.batch_starts
-        slot = (u * env.nbr_counts[idx]).astype(np.int64)
-        sel = env.nbr_offsets[idx] + slot
-        return idx, env.nbr_ids[sel] + env.batch_starts, sel
-    idx = rng.permutation(env.n_nodes)[:batch_size]
-    u = rng.random(batch_size)
-    slot = (u * env.nbr_counts[idx]).astype(np.int64)
-    sel = env.nbr_offsets[idx] + slot
-    return idx, env.nbr_ids[sel], sel
+
+def _floyd(u, bounds):
+    """Floyd's algorithm (Bentley & Floyd, CACM 1987) along the last axis:
+    pick t is floor(u[t] * bounds[t]), or bounds[t] - 1 if its row took
+    that already, so rows are uniform b-subsets.  One row runs on Python
+    scalars, which cost less than numpy calls and give the same picks."""
+    if u.size == u.shape[-1]:
+        picks = {}  # an ordered set
+        for x, bound in zip(u.ravel().tolist(), bounds.ravel().tolist()):
+            pick = int(x * bound)
+            picks[bound - 1 if pick in picks else pick] = None
+        return np.fromiter(picks, np.int64).reshape(u.shape)
+    picks = (u * bounds).astype(np.int64)
+    for t in range(1, u.shape[-1]):
+        taken = np.logical_or.reduce(picks[..., :t] == picks[..., t, None], axis=-1)
+        picks[..., t] = np.where(taken, bounds[..., t] - 1, picks[..., t])
+    return picks
+
+
+def _draw(env, u, bounds, starts):
+    """(nodes, neighbors, neighbor slots) drawn by doubles ``u`` (..., 2b): b
+    pick distinct nodes by Floyd's algorithm below ``bounds``, b a uniform
+    neighbor slot each; ``starts`` shift members' nodes to joint ids."""
+    b = bounds.shape[-1]
+    idx = _floyd(u[..., :b], bounds) + starts
+    sel = env.nbr_offsets[idx] + (u[..., b:] * env.nbr_counts[idx]).astype(np.int64)
+    return idx, env.nbr_ids[sel] + starts, sel
+
+
+def _batches(graph, rngs, steps):
+    """Yield the joint batches of ``steps`` steps, drawn _BLOCK at a time.
+    A member-step takes 2b doubles of its run stream, as a direct step call
+    does; random fills row by row, so no batch depends on the block size."""
+    b = graph.bounds.shape[-1]
+    for done in range(0, steps, _BLOCK):
+        k = min(_BLOCK, steps - done)
+        u = _join([g.random((1, k, 2 * b)) for g in rngs])
+        block = _draw(graph, u, graph.bounds, graph.starts)
+        yield from zip(*(a.swapaxes(0, 1).reshape(k, -1) for a in block))
 
 
 def _so3_apply(r_i, r_delta, cfg):
@@ -303,9 +318,7 @@ def _mrp_apply(psi_i, grad, cfg):
     gamma * eta regardless of batch size.  The clamp is what keeps steps
     sane where the projection distorts scale, and its calibration is tied
     to the per-sample rate."""
-    norms = np.linalg.norm(grad, axis=-1)
-    over = norms > cfg.eta
-    scale = np.where(over, cfg.eta / np.where(over, norms, 1.0), 1.0)
+    scale = cfg.eta / np.maximum(np.sqrt(np.add.reduce(grad * grad, axis=-1)), cfg.eta)
     applied = (-cfg.gamma) * scale[:, None] * grad
     return psi_i + applied, applied
 
@@ -334,11 +347,15 @@ ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 def _step(name: str, estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> StepReport:
     """One synchronous batch update of algorithm ``name``: every sampled
-    pair's gradient comes from the pre-step values, then all apply."""
+    pair's gradient comes from the pre-step values, then all apply.
+    ``rng`` is a Generator to draw the batch from, or the ensemble loop's
+    iterator of drawn batches."""
     algo = ALGORITHM_TABLE[name]
     if estimates.parameterization != algo.parameterization:
         raise ValueError(f"{name}_step requires {algo.parameterization}-parameterized estimates")
-    idx, j, sel = _sample_batch(env, cfg.batch_size, rng)
+    b = cfg.batch_size
+    idx, j, sel = (_draw(env, rng.random(2 * b), _floyd_bounds(env.n_nodes, b), 0)
+                   if isinstance(rng, np.random.Generator) else next(rng))
     x = estimates.values
     x_i = x[idx]
     loss, grad, antipodes = algo.pair_grads(x_i, x[j], getattr(env, algo.targets)[sel])
@@ -399,24 +416,16 @@ def run_ensemble(envs, cfgs):
     members = [
         initial_estimates(env, cfg, rng) for env, cfg, rng in zip(envs, cfgs, rngs)
     ]
-    if len(members) == 1:
-        graph, rng, joint = envs[0], rngs[0], members[0]
-    else:
-        graph, rng = _JoinedGraph(envs, base.batch_size), rngs
-        joint = EstimateSet(
-            members[0].parameterization,
-            np.concatenate([m.values for m in members]),
-        )
-        # each member's estimates become its slice of the joint array
-        stop = 0
-        for m in members:
-            stop += m.n_nodes
-            m.values = joint.values[stop - m.n_nodes:stop]
+    graph = _JoinedGraph(envs, base.batch_size)
+    joint = EstimateSet(members[0].parameterization, np.concatenate([m.values for m in members]))
+    for m, start in zip(members, graph.starts.ravel()):  # each member's slice of the joint
+        m.values = joint.values[start:start + m.n_nodes]
+    batches = _batches(graph, rngs, base.max_iters)
 
     step_fn = STEP_FUNCTIONS[base.algorithm]
     traces = [[metrics.evaluate(m, env, 0)] for m, env in zip(members, envs)]
     for t in range(1, base.max_iters + 1):
-        step_fn(joint, graph, base, rng)
+        step_fn(joint, graph, base, batches)
         if t % base.checkpoint_every == 0 or t == base.max_iters:
             for m, env, cfg, trace in zip(members, envs, cfgs, traces):
                 _check_finite(m, cfg, t)

@@ -545,6 +545,7 @@ def import_1dsfm(path, gt_path=None, strict: bool = False):
 
 def _load_gt_table(path) -> dict[int, np.ndarray]:
     line_of, quats, lines = {}, [], []  # line_of: node id -> the line that lists it
+    line_no = 1  # a file without rows is named at its last line, an empty one at line 1
     for line_no, line in _streamed_lines(path):
         if not _is_content(line):
             continue
@@ -566,7 +567,7 @@ def _load_gt_table(path) -> dict[int, np.ndarray]:
             raise ParseError(path, line_no, f"malformed number in {tokens[1:]!r}") from None
         lines.append(line)
     if not line_of:
-        raise ParseError(path, 0, "no ground-truth rows")
+        raise ParseError(path, line_no, "no ground-truth rows")
     quats = np.array(quats)
     _raise_first(path, list(line_of.values()), [_non_unit(quats, lines)])
     return dict(zip(line_of, quats))

@@ -37,11 +37,20 @@ _EXP_TAYLOR_EPS = 1e-8  # small-angle switch for exp_so3
 # ~2e-8 across this whole window.
 _LOG_PI_EPS = 1e-4
 
-# Hamilton product terms: signs and the b component paired with a[m].
-_QMUL_SIGN = np.array(
-    [[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=float
-)
-_QMUL_B = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+# Hamilton product: component k of a * b adds sign * a[m] * b[n] for m = 0..3;
+# b @ _QMUL_TERMS holds those signed b[n], (k, m) flattened.  One nonzero
+# per column makes that matmul exact, and so does it for _HAT and _VEE.
+_QMUL_TERMS = np.zeros((4, 16))
+_QMUL_TERMS[[0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0], np.arange(16)] = [
+    1, -1, -1, -1, 1, 1, 1, -1, 1, -1, 1, 1, 1, 1, -1, 1]
+# From this many pairs up, quat_mul's component loops beat its term array.
+_QMUL_COMPONENTWISE = 1024
+# v @ _HAT is the cross-product matrix of v, flattened; m.reshape(9) @ _VEE
+# is the vector of m's antisymmetric part.
+_HAT = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
+                 [0, 0, 1, 0, 0, 0, -1, 0, 0],
+                 [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
+_VEE = 0.5 * _HAT.T
 
 
 class SouthPoleSingularity(ValueError):
@@ -50,7 +59,7 @@ class SouthPoleSingularity(ValueError):
 
 def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return q / np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
 
 
 def not_unit_quat(q) -> np.ndarray:
@@ -64,13 +73,20 @@ def quat_mul(a, b) -> np.ndarray:
     """Hamilton product a * b, renormalized to unit length."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    # component k adds sign[k, m] * a[m] * b[_QMUL_B[k, m]] for m = 0..3
-    # left to right, like aw*bw - ax*bx - ay*by - az*bz for w; a sign
-    # folded into a product is exact, so every bit matches that formula
-    # written out term by term
-    terms = (a[..., None, :] * _QMUL_SIGN) * b[..., _QMUL_B]
-    out = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+    # both forms add the terms left to right, like aw*bw - ax*bx - ay*by - az*bz
+    # for w; a sign folded into a product is exact, so every bit matches
+    # that formula written out term by term
+    if max(a.size, b.size) < 4 * _QMUL_COMPONENTWISE:
+        terms = a[..., None, :] * (b @ _QMUL_TERMS).reshape(b.shape[:-1] + (4, 4))
+        out = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+    else:
+        aw, ax, ay, az = np.moveaxis(a, -1, 0)
+        bw, bx, by, bz = np.moveaxis(b, -1, 0)
+        out = np.stack([aw * bw - ax * bx - ay * by - az * bz,
+                        aw * bx + ax * bw + ay * bz - az * by,
+                        aw * by - ax * bz + ay * bw + az * bx,
+                        aw * bz + ax * by - ay * bx + az * bw], axis=-1)
+    return out / np.sqrt(np.add.reduce(out * out, axis=-1, keepdims=True))
 
 
 def quat_conjugate(q) -> np.ndarray:
@@ -147,35 +163,23 @@ def matrix_to_quat(m) -> np.ndarray:
 
 
 def exp_so3(v) -> np.ndarray:
-    """Rodrigues formula: rotation vector to rotation matrix."""
+    """Rodrigues formula: rotation vector to rotation matrix,
+    I + a K + b K^2 for K the cross-product matrix of v."""
     v = np.asarray(v, dtype=float)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    theta2 = x * x + y * y + z * z
+    theta2 = np.add.reduce(v * v, axis=-1)
     theta = np.sqrt(theta2)
     small = theta < _EXP_TAYLOR_EPS
-    # sin(t)/t and (1-cos(t))/t^2 with second-order Taylor fallback
+    # a = sin(t)/t and b = (1-cos(t))/t^2 with second-order Taylor fallback
     safe = np.where(small, 1.0, theta)
     a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
     b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
-
-    bxy, byz, bxz = b * x * y, b * y * z, b * x * z
-    ax, ay, az = a * x, a * y, a * z
-    m = np.empty(v.shape[:-1] + (3, 3), dtype=float)
-    m[..., 0, 0] = 1.0 - b * (y * y + z * z)
-    m[..., 0, 1] = bxy - az
-    m[..., 0, 2] = bxz + ay
-    m[..., 1, 0] = bxy + az
-    m[..., 1, 1] = 1.0 - b * (x * x + z * z)
-    m[..., 1, 2] = byz - ax
-    m[..., 2, 0] = bxz - ay
-    m[..., 2, 1] = byz + ax
-    m[..., 2, 2] = 1.0 - b * (x * x + y * y)
-    return m
+    k = (v @ _HAT).reshape(v.shape[:-1] + (3, 3))
+    return np.eye(3) + a[..., None, None] * k + b[..., None, None] * (k @ k)
 
 
 def angle_from_trace(tr) -> np.ndarray:
     """Rotation angle in [0, pi] (radians) of rotations with trace tr."""
-    return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+    return np.arccos(np.minimum(np.maximum((tr - 1.0) / 2.0, -1.0), 1.0))
 
 
 def rotation_angle(m) -> np.ndarray:
@@ -209,25 +213,15 @@ def log_so3(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     theta = rotation_angle(m)
     # antisymmetric part, = sin(theta) * axis
-    a = np.empty(m.shape[:-2] + (3,), dtype=float)
-    a[..., 0] = 0.5 * (m[..., 2, 1] - m[..., 1, 2])
-    a[..., 1] = 0.5 * (m[..., 0, 2] - m[..., 2, 0])
-    a[..., 2] = 0.5 * (m[..., 1, 0] - m[..., 0, 1])
-
+    a = m.reshape(m.shape[:-2] + (9,)) @ _VEE
     small = theta < 1e-4
     near_pi = theta > np.pi - _LOG_PI_EPS
     theta2 = theta * theta
-
     sin_theta = np.sin(theta)
-    safe_sin = np.where(sin_theta < 1e-12, 1.0, sin_theta)
-    factor = np.where(
-        small,
-        1.0 + theta2 / 6.0 + 7.0 * theta2 * theta2 / 360.0,
-        theta / safe_sin,
-    )
+    factor = np.where(small, 1.0 + theta2 * (1.0 / 6.0 + theta2 * (7.0 / 360.0)),
+                      theta / np.where(sin_theta < 1e-12, 1.0, sin_theta))
     out = a * factor[..., None]
-
-    if np.any(near_pi):
+    if near_pi.any():
         flat = out.reshape(-1, 3)
         mats = m.reshape(-1, 3, 3)
         angs = theta.reshape(-1)
@@ -280,12 +274,8 @@ def mrp_project(q) -> np.ndarray:
 def mrp_unproject(psi) -> np.ndarray:
     """Inverse stereographic projection; exact unit quaternion."""
     psi = np.asarray(psi, dtype=float)
-    n2 = np.sum(psi * psi, axis=-1)
-    out = np.empty(psi.shape[:-1] + (4,), dtype=float)
-    denom = 1.0 + n2
-    out[..., 0] = (1.0 - n2) / denom
-    out[..., 1:] = 2.0 * psi / denom[..., None]
-    return out
+    n2 = np.add.reduce(psi * psi, axis=-1, keepdims=True)
+    return np.concatenate([1.0 - n2, 2.0 * psi], axis=-1) / (1.0 + n2)
 
 
 def sample_uniform_rotation(rng: np.random.Generator, n: int | None = None) -> np.ndarray:

@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_matrices, random_quats, random_unit_vectors
-from rotavg import metrics, rotmath
+from rotavg import averaging, metrics, rotmath
 from rotavg.averaging import (
+    ALGORITHMS,
     EstimateSet,
     _JoinedGraph,
     OptimizerConfig,
@@ -568,6 +569,92 @@ class TestRunEnsemble:
         cfgs = [OptimizerConfig("so3", batch_size=8, seed=s) for s in (0, 1)]
         with pytest.raises(ValueError, match="exceeds node count 4"):
             run_ensemble([big, tiny], cfgs)
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_member_does_not_depend_on_block_or_ensemble_size(
+            self, algorithm, batch_size, monkeypatch):
+        # block size 1 draws a lone run's batches one row at a time, the
+        # others through the vectorized form; 250 steps end on a partial block
+        envs = [small_env(0, n=12), small_env(1, n=20), small_env(2, n=9),
+                small_env(0, n=12), small_env(3, n=15)]
+        cfgs = [OptimizerConfig(algorithm, batch_size=batch_size, max_iters=250, seed=seed,
+                                checkpoint_every=100) for seed in (7, 1, 2, 3, 4)]
+        runs = []
+        for block in (1, 7, averaging._BLOCK):
+            monkeypatch.setattr(averaging, "_BLOCK", block)
+            runs += [run_ensemble(envs[:size], cfgs[:size])[0] for size in (1, 2, 5)]
+        (first_est, first_trace), *rest = runs
+        for est, trace in rest:
+            assert np.array_equal(est.values, first_est.values)
+            assert trace == first_trace
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_direct_step_calls_draw_as_the_loop_does(self, algorithm):
+        env = small_env(1, n=20)
+        cfg = OptimizerConfig(algorithm, batch_size=3, max_iters=120, seed=5)
+        rng = np.random.default_rng([cfg.seed, averaging._RUN_STREAM])
+        est = initial_estimates(env, cfg, rng)
+        for _ in range(cfg.max_iters):
+            averaging.STEP_FUNCTIONS[algorithm](est, env, cfg, rng)
+        assert np.array_equal(est.values, run_averaging(env, cfg)[0].values)
+
+    @staticmethod
+    def draws(n, b, steps):
+        """Batches of two members on copies of one environment."""
+        env = small_env(0, n=n)
+        graph = _JoinedGraph([env, env], b)
+        rngs = [np.random.default_rng(seed) for seed in (0, 1)]
+        batches = averaging._batches(graph, rngs, steps)
+        idx, j, sel = (np.array(a) for a in zip(*batches))
+        return env, idx.reshape(steps, 2, b), j.reshape(steps, 2, b), sel.reshape(steps, 2, b)
+
+    @pytest.mark.parametrize("n, b", [(4, 4), (100, 8), (577, 64)])
+    def test_batches_are_distinct_nodes_with_one_neighbor_each(self, n, b):
+        env, idx, j, sel = self.draws(n, b, 2000)
+        local = idx - np.array([[0], [n]])
+        assert local.min() >= 0 and local.max() < n
+        assert np.all(np.diff(np.sort(local, axis=-1), axis=-1) > 0)
+        slot = sel - env.nbr_offsets[local]
+        assert np.all(slot >= 0) and np.all(slot < env.nbr_counts[local])
+        assert np.array_equal(j - np.array([[0], [n]]), env.nbr_ids[sel])
+
+    @pytest.mark.parametrize("n, b, steps", [(100, 8, 20_000), (577, 64, 5000)])
+    def test_node_inclusion_is_uniform(self, n, b, steps):
+        _, idx, _, _ = self.draws(n, b, steps)
+        counts = np.bincount(idx[:, 0].ravel(), minlength=n)
+        # a node is in a batch with probability p = b / n; the counts'
+        # variance is steps * p * (1 - p), so the scaled statistic is
+        # about chi-square with n - 1 degrees of freedom
+        p = b / n
+        expected = steps * p
+        stat = np.sum((counts - expected) ** 2) / (expected * (1.0 - p))
+        df = n - 1
+        # Wilson-Hilferty upper quantile at 1e-4 (z = 3.719)
+        bound = df * (1.0 - 2.0 / (9 * df) + 3.719 * np.sqrt(2.0 / (9 * df))) ** 3
+        assert stat < bound
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_loop_calls_the_table_entry_once_per_step(self, members, monkeypatch):
+        # perfbench times steps by patching STEP_FUNCTIONS and counts
+        # max_iters calls per run
+        calls = []
+        step = averaging.STEP_FUNCTIONS["quaternion"]
+
+        def counting_step(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setitem(averaging.STEP_FUNCTIONS, "quaternion", counting_step)
+        env = small_env()
+        cfgs = [OptimizerConfig("quaternion", max_iters=37, seed=seed, checkpoint_every=10)
+                for seed in range(members)]
+        run_ensemble([env] * members, cfgs)
+        assert len(calls) == 37
 
 
 @pytest.mark.slow

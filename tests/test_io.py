@@ -515,7 +515,10 @@ class TestImport1dsfm:
         eg, gt = tmp_path / "eg.txt", tmp_path / "gt.txt"
         write_lines(eg, self.three_node_rows(rng)[1])
         write_lines(gt, ["# no rows"])
-        with pytest.raises(envio.ParseError, match="no ground-truth rows"):
+        with pytest.raises(envio.ParseError, match="gt.txt:1: no ground-truth rows"):
+            envio.import_1dsfm(eg, gt_path=gt)
+        write_lines(gt, ["# no rows", "", "# still none"])
+        with pytest.raises(envio.ParseError, match="gt.txt:3: no ground-truth rows"):
             envio.import_1dsfm(eg, gt_path=gt)
 
     def test_empty_graph_raises(self, tmp_path):

@@ -49,6 +49,22 @@ class TestQuatMul:
         norms = np.linalg.norm(rotmath.quat_mul(a, b), axis=-1)
         assert np.max(np.abs(norms - 1.0)) < 1e-9
 
+    @pytest.mark.parametrize("n", [1, 16, 64, 640, 4000])
+    def test_matches_hamilton_product_term_by_term(self, rng, n):
+        # n = 4000 takes quat_mul's componentwise form, the others its term array
+        a, b = random_quats(rng, n), random_quats(rng, n)
+        (aw, ax, ay, az), (bw, bx, by, bz) = a.T, b.T
+        want = np.stack([aw * bw - ax * bx - ay * by - az * bz,
+                         aw * bx + ax * bw + ay * bz - az * by,
+                         aw * by - ax * bz + ay * bw + az * bx,
+                         aw * bz + ax * by - ay * bx + az * bw], axis=-1)
+        want /= np.linalg.norm(want, axis=-1, keepdims=True)
+        got = rotmath.quat_mul(a, b)
+        assert np.max(np.abs(got - want)) <= 4.5e-16
+        # a pair's product does not depend on the batch around it
+        assert np.array_equal(rotmath.quat_mul(a[:1], b[:1]), got[:1])
+        assert np.array_equal(rotmath.quat_mul(a[0], b[0]), got[0])
+
 
 class TestExpLog:
     def test_exp_zero_is_identity(self):
