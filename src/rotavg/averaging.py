@@ -271,11 +271,16 @@ def _floyd(u, bounds):
             pick = int(x * bound)
             picks[bound - 1 if pick in picks else pick] = None
         return np.fromiter(picks, np.int64).reshape(u.shape)
-    picks = (u * bounds).astype(np.int64)
-    for t in range(1, u.shape[-1]):
-        taken = np.logical_or.reduce(picks[..., :t] == picks[..., t, None], axis=-1)
-        picks[..., t] = np.where(taken, bounds[..., t] - 1, picks[..., t])
-    return picks
+    # pick t of row r is key r * width + pick in one flat "seen" mask
+    b, width = u.shape[-1], int(bounds.max())
+    base = np.arange(u.size // b)[:, None] * width
+    keys = ((u * bounds).astype(np.int64).reshape(-1, b) + base).T.copy()
+    last = (np.broadcast_to(bounds - 1, u.shape).reshape(-1, b) + base).T
+    seen = np.zeros(base.size * width, dtype=bool)
+    for t in range(b):
+        np.copyto(keys[t], last[t], where=seen[keys[t]])
+        seen[keys[t]] = True
+    return (keys.T - base).reshape(u.shape)
 
 
 def _draw(env, u, bounds, starts):

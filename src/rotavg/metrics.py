@@ -5,8 +5,9 @@ R(q_i_j) R_j = R_i the averaging objective is unchanged when every
 estimate is post-multiplied by one constant rotation; pairwise and
 relative errors are invariant under that gauge, and absolute errors first
 resolve it with a chordal-L2 alignment.  Everything here is a pure
-function of its snapshot arguments, computed single-threaded with numpy's
-pairwise summation, so results do not depend on any reduction order.
+function of its snapshot arguments, summed in a fixed order (numpy's
+pairwise summation; the pairwise metric adds one such sum per panel block,
+in panel order), so results never depend on the call's history.
 """
 
 from __future__ import annotations
@@ -14,18 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rotmath
 
 _RANK_TOL = 1e-9
 
-# The pairwise metric forms pair traces a panel of rows at a time, turns
-# them into angles a chunk at a time, and brackets the median trace by
-# the ranks within _SAMPLE_MARGIN of the middle of a strided sample.
-_PANEL_ROWS = 128
-_CHUNK = 1 << 16
+# Pair cosines come _PANEL_ROWS rows at a time (at N = 2000 a 64-row block
+# fits a 2 MB L2 cache with its masks, a 128-row one does not); the median is
+# bracketed by the ranks _SAMPLE_MARGIN around the middle of ~_SAMPLE pairs.
+_PANEL_ROWS = 64
 _SAMPLE = 1 << 14
 _SAMPLE_MARGIN = 256
+_UPPER = np.triu(np.ones((_PANEL_ROWS, _PANEL_ROWS), dtype=bool), 1)
 
 
 class DegenerateAlignment(RuntimeError):
@@ -58,24 +60,24 @@ def _as_matrices(estimates) -> np.ndarray:
     return est
 
 
-def _angles_deg_from_traces(traces) -> np.ndarray:
-    return np.degrees(rotmath.angle_from_trace(traces))
-
-
-def _pair_traces(g: np.ndarray) -> np.ndarray:
-    """<g_i, g_j> for every pair i < j, in np.triu_indices order."""
-    n = g.shape[0]
-    out = np.empty(n * (n - 1) // 2)
-    pos = 0
+def _cosine_panels(ga, ha):
+    """Per panel of rows i0..i1-1, the flat cosines <ga_i, ha_j> of its pairs
+    i < j (diagonal block's upper triangle, then columns i1..N-1), as a view
+    of one buffer that the next panel overwrites."""
+    n = ga.shape[0]
+    diag, buf = np.empty(_PANEL_ROWS ** 2), np.empty(_PANEL_ROWS * n)
     for i0 in range(0, n - 1, _PANEL_ROWS):
-        i1 = min(i0 + _PANEL_ROWS, n - 1)
-        # row r is node i0 + r, column c is node i0 + 1 + c
-        panel = g[i0:i1] @ g[i0 + 1:].T
-        for r in range(i1 - i0):
-            row = panel[r, r:]
-            out[pos:pos + row.size] = row
-            pos += row.size
-    return out
+        i1 = min(i0 + _PANEL_ROWS, n)
+        r, c, t = i1 - i0, n - i1, (i1 - i0) * (i1 - i0 - 1) // 2
+        block = np.matmul(ga[i0:i1], ha[i0:i1].T, out=diag[:r * r].reshape(r, r))
+        np.compress(_UPPER[:r, :r].ravel(), block, out=buf[:t])
+        np.matmul(ga[i0:i1], ha[i1:].T, out=buf[t:t + r * c].reshape(r, c))
+        yield buf[:t + r * c]
+
+
+def _angle_sum(cos: np.ndarray):
+    """Sum of the angles (radians) of cosines ``cos``, computed in place."""
+    return np.add.reduce(np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos))
 
 
 def avg_pairwise_error(estimates, ground_truth) -> tuple[float, float]:
@@ -84,45 +86,54 @@ def avg_pairwise_error(estimates, ground_truth) -> tuple[float, float]:
 
     Gauge-invariant by construction: each term compares Rhat_i Rhat_j^T
     with R_i R_j^T, and a global gauge rotation cancels inside every
-    pair product.  Costs O(N^2) time and holds the N(N-1)/2 pair traces
-    (8 bytes a pair) plus O(N) floats per row of a fixed-size panel.
+    pair product.  Costs O(N^2) time and O(N * panel) memory: one pass
+    over row panels keeps only the cosines near the median, and a second
+    pass, which holds all N(N-1)/2, runs only if those miss a middle rank.
     """
     est = _as_matrices(estimates)
     gt = np.asarray(ground_truth, dtype=float)
     n = est.shape[0]
     if gt.shape != (n, 3, 3):
         raise ValueError("ground truth shape does not match estimates")
-    # G_i = Rhat_i^T R_i; pair angle ij has cos = (<G_i, G_j>_F - 1) / 2
+    if n < 2:
+        raise ValueError(f"the pairwise error needs at least 2 nodes, got {n}")
+    # G_i = Rhat_i^T R_i; pair ij has cos = (<G_i, G_j>_F - 1) / 2, which
+    # is <ga_i, ha_j> for ga = [G / 2, -1/2] and ha = [G, 1]
     g = (np.swapaxes(est, -1, -2) @ gt).reshape(n, 9)
-    traces = _pair_traces(g)
-    m = traces.size
-
-    # The angle falls as the trace grows, so the median angle is the
-    # angle of the middle trace, or the mean of the two middle ones.
+    ga, ha = np.hstack([g * 0.5, np.full((n, 1), -0.5)]), np.hstack([g, np.ones((n, 1))])
+    m = n * (n - 1) // 2
+    # The cosine falls as the angle grows, so the median angle is the
+    # angle of the middle cosine, or the mean of the two middle ones.
     k_lo, k_hi = (m - 1) // 2, m // 2
-    sample = np.sort(traces[::max(1, m // _SAMPLE)])
-    mid = k_lo * sample.size // m
-    lo = sample[max(mid - _SAMPLE_MARGIN, 0)]
-    hi = sample[min(mid + _SAMPLE_MARGIN, sample.size - 1)]
-
+    lo, hi = -np.inf, np.inf  # up to _SAMPLE pairs, the bracket keeps every one
+    if m > _SAMPLE:  # pairs (i, i + d mod N), d = 1, 2, ..., in a fixed node shuffle
+        order = np.random.default_rng(0).permutation(n)
+        # window d holds ha_{(i + d) mod N} at column i, so no gathers
+        windows = sliding_window_view(np.concatenate([ha[order]] * 2).T, n, axis=1)
+        count = min(-(-_SAMPLE // n), (n - 1) // 2)
+        sample = np.sort(np.einsum("ki,kdi->di", ga[order].T, windows[:, 1:count + 1]), None)
+        mid = k_lo * sample.size // m
+        lo, hi = sample[np.clip([mid - _SAMPLE_MARGIN, mid + _SAMPLE_MARGIN], 0, sample.size - 1)]
     total, below, inside = 0.0, 0, []
-    for s in range(0, m, _CHUNK):
-        chunk = traces[s:s + _CHUNK]
-        total += float(np.sum(_angles_deg_from_traces(chunk)))
-        below += int(np.count_nonzero(chunk < lo))
-        inside.append(chunk[(chunk >= lo) & (chunk < hi)])
-    mean = total / m
-    if np.isnan(mean):  # a NaN trace fails every bracket comparison
+    lt_lo, lt_hi = np.empty((2, _PANEL_ROWS * n), dtype=bool)
+    for cos in _cosine_panels(ga, ha):
+        s = cos.size
+        below += np.count_nonzero(np.less(cos, lo, out=lt_lo[:s]))
+        np.not_equal(lt_lo[:s], np.less(cos, hi, out=lt_hi[:s]), out=lt_hi[:s])
+        inside.append(cos.take(np.flatnonzero(lt_hi[:s])))
+        total += _angle_sum(cos)
+    mean = float(np.degrees(total)) / m
+    if np.isnan(mean):  # a NaN cosine fails every bracket comparison
         return mean, mean
 
     bracket = np.concatenate(inside)
-    if below <= k_lo and k_hi < below + bracket.size:
-        ks = [k_lo - below, k_hi - below]
-        middle = np.partition(bracket, ks)[ks]
-    else:  # the half-open bracket [lo, hi) missed a middle rank
-        ks = [k_lo, k_hi]
-        middle = np.partition(traces, ks)[ks]
-    return mean, float(np.mean(_angles_deg_from_traces(middle)))
+    if not (below <= k_lo and k_hi < below + bracket.size):  # [lo, hi) missed a middle rank
+        below, bracket = 0, np.concatenate([c.copy() for c in _cosine_panels(ga, ha)])
+    # one single-rank partition (numpy's fast form), then the largest value below rank k
+    k = k_hi - below
+    part = np.partition(bracket, k)
+    middle = np.array([part[:k].max() if k_lo < k_hi else part[k], part[k]])
+    return mean, float(np.degrees(_angle_sum(middle))) / 2
 
 
 def relative_edge_error(estimates, env) -> tuple[float, float]:
@@ -133,7 +144,7 @@ def relative_edge_error(estimates, env) -> tuple[float, float]:
     j = env.edge_index[:, 1]
     target = env.edge_mats @ est[j]
     traces = np.einsum("eab,eab->e", est[i], target)
-    ang = _angles_deg_from_traces(traces)
+    ang = np.degrees(rotmath.angle_from_trace(traces))
     return float(np.mean(ang)), float(np.median(ang))
 
 
@@ -177,7 +188,7 @@ def absolute_error(estimates, ground_truth) -> tuple[float, float]:
     except DegenerateAlignment:
         s = np.eye(3)
     traces = np.einsum("nab,nab->n", est @ s, gt)
-    ang = _angles_deg_from_traces(traces)
+    ang = np.degrees(rotmath.angle_from_trace(traces))
     return float(np.mean(ang)), float(np.median(ang))
 
 

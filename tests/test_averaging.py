@@ -572,12 +572,13 @@ class TestRunEnsemble:
 
 
 class TestBlockDraws:
-    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize("batch_size", [1, 4, 9])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_member_does_not_depend_on_block_or_ensemble_size(
             self, algorithm, batch_size, monkeypatch):
         # block size 1 draws a lone run's batches one row at a time, the
-        # others through the vectorized form; 250 steps end on a partial block
+        # others through the vectorized form; 250 steps end on a partial block;
+        # batch 9 takes every node of the 9-node member, so Floyd's picks collide
         envs = [small_env(0, n=12), small_env(1, n=20), small_env(2, n=9),
                 small_env(0, n=12), small_env(3, n=15)]
         cfgs = [OptimizerConfig(algorithm, batch_size=batch_size, max_iters=250, seed=seed,

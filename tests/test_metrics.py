@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -67,6 +69,11 @@ class TestAvgPairwiseError:
         mean, median = avg_pairwise_error(gt @ s, gt)
         assert mean < 1e-6 and median < 1e-6
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_nodes_is_value_error(self, n):
+        with pytest.raises(ValueError, match=f"at least 2 nodes, got {n}"):
+            avg_pairwise_error(np.zeros((n, 3, 3)), np.zeros((n, 3, 3)))
+
     def test_two_node_closed_form(self, rng):
         gt = random_matrices(rng, 2)
         theta = 0.4
@@ -91,9 +98,10 @@ class TestAvgPairwiseError:
         mean, _ = avg_pairwise_error(est, gt)
         assert mean < 1e-6
 
-    # 300 and 302 nodes span three row panels and give an even and an odd
-    # pair count; 2 and 3 nodes have one and three pairs
-    @pytest.mark.parametrize("n", [2, 3, 300, 302])
+    # 300 and 302 nodes span several row panels and give an even and an odd
+    # pair count; 2 and 3 nodes have one and three pairs; 181 nodes are the
+    # most whose pairs all fit the median sample, 182 the fewest that do not
+    @pytest.mark.parametrize("n", [2, 3, 181, 182, 300, 302])
     def test_matches_pair_loop(self, rng, n):
         est = random_matrices(rng, n)
         gt = random_matrices(rng, n)
@@ -101,10 +109,28 @@ class TestAvgPairwiseError:
         assert_allclose(avg_pairwise_error(est, gt), want, rtol=0, atol=1e-9)
 
     def test_median_selected_inside_bracket(self, rng, partition_sizes):
-        n = 302
-        avg_pairwise_error(random_matrices(rng, n), random_matrices(rng, n))
-        assert len(partition_sizes) == 1
-        assert 0 < partition_sizes[0] < n * (n - 1) // 20
+        # Haar estimates (start 0), estimates near convergence (start n), and
+        # estimates whose error depends on the node index (start n // 2)
+        for n in (302, 2000):
+            for start in (0, n, n // 2):
+                gt = random_matrices(rng, n)
+                est = rotmath.exp_so3(1e-3 * random_unit_vectors(rng, n)) @ gt
+                est[start:] = random_matrices(rng, n - start)
+                partition_sizes.clear()
+                avg_pairwise_error(est @ random_matrices(rng, 1)[0], gt)
+                assert len(partition_sizes) == 1, (n, start)
+                assert 0 < partition_sizes[0] < n * (n - 1) // 20, (n, start)
+
+    def test_memory_stays_within_panels(self, rng):
+        # the N(N-1)/2 pair values alone would take 16 MB
+        est, gt = random_matrices(rng, 2000), random_matrices(rng, 2000)
+        tracemalloc.start()
+        try:
+            avg_pairwise_error(est, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     @pytest.mark.parametrize("n", [100, 577, 2000])
     def test_matches_dense_formula(self, rng, n):
@@ -127,12 +153,13 @@ class TestAvgPairwiseError:
         assert got == (0.0, 0.0)
 
     def test_non_finite_estimate_gives_nan(self, rng):
-        est = random_matrices(rng, 300)
-        gt = random_matrices(rng, 300)
-        est[7, 1, 2] = np.nan
-        mean, median = avg_pairwise_error(est, gt)
-        assert np.isnan(mean) and np.isnan(median)
-        assert all(np.isnan(pair_loop(est, gt)))
+        for n in (20, 300):  # every pair in one bracket, and a sampled bracket
+            est = random_matrices(rng, n)
+            gt = random_matrices(rng, n)
+            est[7, 1, 2] = np.nan
+            mean, median = avg_pairwise_error(est, gt)
+            assert np.isnan(mean) and np.isnan(median)
+            assert all(np.isnan(pair_loop(est, gt)))
 
 
 class TestRelativeEdgeError:
