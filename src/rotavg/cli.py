@@ -428,7 +428,7 @@ def cmd_bench(args) -> int:
         raise UsageError("empty seed list")
     for algo in algos:
         if algo not in ALGO_TOKENS:
-            raise UsageError(f"unknown algorithm {algo!r} (want so3, quat, or mrp)")
+            raise UsageError(f"unknown algorithm {algo!r} (want {', '.join(ALGO_TOKENS)})")
     if not out_dir:
         raise UsageError("no output directory given")
     for what, values in (("environment", envs), ("algorithm", algos), ("seed", seeds)):

@@ -4,10 +4,10 @@ All errors are reported in degrees.  Under the edge convention
 R(q_i_j) R_j = R_i the averaging objective is unchanged when every
 estimate is post-multiplied by one constant rotation; pairwise and
 relative errors are invariant under that gauge, and absolute errors first
-resolve it with a chordal-L2 alignment.  Everything here is a pure
-function of its snapshot arguments, summed in a fixed order (numpy's
-pairwise summation; the pairwise metric adds one such sum per panel block,
-in panel order), so results never depend on the call's history.
+resolve it with a chordal-L2 alignment.  Every error's mean and exact
+median come from one reducer, which sums angles in a fixed order (numpy's
+pairwise summation per block, blocks in order), so results are pure
+functions of the snapshot and never depend on the call's history.
 """
 
 from __future__ import annotations
@@ -60,6 +60,14 @@ def _as_matrices(estimates) -> np.ndarray:
     return est
 
 
+def _gauge_products(estimates, ground_truth) -> np.ndarray:
+    """G_i = Rhat_i^T R_i of every node, flattened to (N, 9) rows."""
+    est, gt = _as_matrices(estimates), np.asarray(ground_truth, dtype=float)
+    if gt.shape != est.shape:
+        raise ValueError("ground truth shape does not match estimates")
+    return (np.swapaxes(est, -1, -2) @ gt).reshape(-1, 9)
+
+
 def _cosine_panels(ga, ha):
     """Per panel of rows i0..i1-1, the flat cosines <ga_i, ha_j> of its pairs
     i < j (diagonal block's upper triangle, then columns i1..N-1), as a view
@@ -80,6 +88,34 @@ def _angle_sum(cos: np.ndarray):
     return np.add.reduce(np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos))
 
 
+def _mean_median(blocks, lo=-np.inf, hi=np.inf) -> tuple[float, float] | None:
+    """Mean and exact median, in degrees, of the angles of the cosine blocks
+    ``blocks`` (overwritten); None when the kept cosines, those in [lo, hi],
+    miss a middle rank.  As the cosine falls when the angle grows, the median
+    angle is the middle cosine's angle, or the mean of the two middle ones."""
+    total, m, below, inside, masks = 0.0, 0, 0, [], np.empty((2, 0), dtype=bool)
+    for cos in blocks:
+        masks = masks if masks.shape[1] >= cos.size else np.empty((2, cos.size), dtype=bool)
+        lt_lo, in_range = masks[:, :cos.size]
+        below += np.count_nonzero(np.less(cos, lo, out=lt_lo))
+        # c < lo implies c <= hi, so the masks differ exactly where lo <= c <= hi
+        np.not_equal(lt_lo, np.less_equal(cos, hi, out=in_range), out=in_range)
+        inside.append(cos.take(np.flatnonzero(in_range)))
+        total += _angle_sum(cos)
+        m += cos.size
+    mean = float(np.degrees(total) / m)
+    if np.isnan(mean):  # a NaN cosine fails every bracket comparison
+        return mean, mean
+    bracket, k_lo, k_hi = np.concatenate(inside), (m - 1) // 2, m // 2
+    del inside  # np.partition copies the bracket; hold the kept blocks no longer
+    if not (below <= k_lo and k_hi < below + bracket.size):
+        return None
+    k = k_hi - below  # one single-rank partition (numpy's fast form), then the max below it
+    part = np.partition(bracket, k)
+    middle = np.array([part[:k].max() if k_lo < k_hi else part[k], part[k]])
+    return mean, float(np.degrees(_angle_sum(middle))) / 2
+
+
 def avg_pairwise_error(estimates, ground_truth) -> tuple[float, float]:
     """Mean and median, over all unordered pairs, of the angle between the
     estimated and true relative rotation of the pair.
@@ -90,21 +126,13 @@ def avg_pairwise_error(estimates, ground_truth) -> tuple[float, float]:
     over row panels keeps only the cosines near the median, and a second
     pass, which holds all N(N-1)/2, runs only if those miss a middle rank.
     """
-    est = _as_matrices(estimates)
-    gt = np.asarray(ground_truth, dtype=float)
-    n = est.shape[0]
-    if gt.shape != (n, 3, 3):
-        raise ValueError("ground truth shape does not match estimates")
+    g = _gauge_products(estimates, ground_truth)
+    n = g.shape[0]
     if n < 2:
         raise ValueError(f"the pairwise error needs at least 2 nodes, got {n}")
-    # G_i = Rhat_i^T R_i; pair ij has cos = (<G_i, G_j>_F - 1) / 2, which
-    # is <ga_i, ha_j> for ga = [G / 2, -1/2] and ha = [G, 1]
-    g = (np.swapaxes(est, -1, -2) @ gt).reshape(n, 9)
+    # pair ij has cos = (<G_i, G_j>_F - 1) / 2 = <ga_i, ha_j>, ga = [G / 2, -1/2], ha = [G, 1]
     ga, ha = np.hstack([g * 0.5, np.full((n, 1), -0.5)]), np.hstack([g, np.ones((n, 1))])
     m = n * (n - 1) // 2
-    # The cosine falls as the angle grows, so the median angle is the
-    # angle of the middle cosine, or the mean of the two middle ones.
-    k_lo, k_hi = (m - 1) // 2, m // 2
     lo, hi = -np.inf, np.inf  # up to _SAMPLE pairs, the bracket keeps every one
     if m > _SAMPLE:  # pairs (i, i + d mod N), d = 1, 2, ..., in a fixed node shuffle
         order = np.random.default_rng(0).permutation(n)
@@ -112,40 +140,19 @@ def avg_pairwise_error(estimates, ground_truth) -> tuple[float, float]:
         windows = sliding_window_view(np.concatenate([ha[order]] * 2).T, n, axis=1)
         count = min(-(-_SAMPLE // n), (n - 1) // 2)
         sample = np.sort(np.einsum("ki,kdi->di", ga[order].T, windows[:, 1:count + 1]), None)
-        mid = k_lo * sample.size // m
-        lo, hi = sample[np.clip([mid - _SAMPLE_MARGIN, mid + _SAMPLE_MARGIN], 0, sample.size - 1)]
-    total, below, inside = 0.0, 0, []
-    lt_lo, lt_hi = np.empty((2, _PANEL_ROWS * n), dtype=bool)
-    for cos in _cosine_panels(ga, ha):
-        s = cos.size
-        below += np.count_nonzero(np.less(cos, lo, out=lt_lo[:s]))
-        np.not_equal(lt_lo[:s], np.less(cos, hi, out=lt_hi[:s]), out=lt_hi[:s])
-        inside.append(cos.take(np.flatnonzero(lt_hi[:s])))
-        total += _angle_sum(cos)
-    mean = float(np.degrees(total)) / m
-    if np.isnan(mean):  # a NaN cosine fails every bracket comparison
-        return mean, mean
-
-    bracket = np.concatenate(inside)
-    if not (below <= k_lo and k_hi < below + bracket.size):  # [lo, hi) missed a middle rank
-        below, bracket = 0, np.concatenate([c.copy() for c in _cosine_panels(ga, ha)])
-    # one single-rank partition (numpy's fast form), then the largest value below rank k
-    k = k_hi - below
-    part = np.partition(bracket, k)
-    middle = np.array([part[:k].max() if k_lo < k_hi else part[k], part[k]])
-    return mean, float(np.degrees(_angle_sum(middle))) / 2
+        ranks = ((m - 1) // 2) * sample.size // m + np.array([-_SAMPLE_MARGIN, _SAMPLE_MARGIN])
+        # widened by 1e-15: this einsum and the panels' matmul round cosines up to 5.6e-16 apart
+        lo, hi = sample[np.clip(ranks, 0, sample.size - 1)] + [-1e-15, 1e-15]
+    return _mean_median(_cosine_panels(ga, ha), lo, hi) or _mean_median(_cosine_panels(ga, ha))
 
 
 def relative_edge_error(estimates, env) -> tuple[float, float]:
     """Mean and median angle d(Rhat_i, R(q_i_j) Rhat_j) over the stored
     directed edges (each measured constraint exactly once)."""
     est = _as_matrices(estimates)
-    i = env.edge_index[:, 0]
-    j = env.edge_index[:, 1]
-    target = env.edge_mats @ est[j]
-    traces = np.einsum("eab,eab->e", est[i], target)
-    ang = np.degrees(rotmath.angle_from_trace(traces))
-    return float(np.mean(ang)), float(np.median(ang))
+    i, j = env.edge_index.T
+    target = env.edge_mats @ est[j]  # before est[i]: the other order took 25% longer at 20K edges
+    return _mean_median([np.einsum("eab,eab->e", est[i], target) / 2 - 0.5])
 
 
 def align_gauge(estimates, ground_truth) -> np.ndarray:
@@ -159,12 +166,12 @@ def align_gauge(estimates, ground_truth) -> np.ndarray:
     rotmath.nearest_rotation).  Raises DegenerateAlignment when M is
     zero or rank deficient beyond tolerance and S is ambiguous.
     """
-    est = _as_matrices(estimates)
-    gt = np.asarray(ground_truth, dtype=float)
-    if gt.shape != est.shape:
-        raise ValueError("ground truth shape does not match estimates")
-    m = np.einsum("nba,nbc->ac", est, gt)
+    return _nearest_gauge(_gauge_products(estimates, ground_truth))
 
+
+def _nearest_gauge(g: np.ndarray) -> np.ndarray:
+    """align_gauge's S from the gauge products ``g`` (see _gauge_products)."""
+    m = np.add.reduce(g).reshape(3, 3)
     scale = np.linalg.norm(m)
     if not scale > 0.0:
         raise DegenerateAlignment("alignment accumulator is zero")
@@ -172,24 +179,19 @@ def align_gauge(estimates, ground_truth) -> np.ndarray:
     sq = np.linalg.eigvalsh(m.T @ m)
     if np.sqrt(max(sq[0], 0.0)) <= _RANK_TOL * np.sqrt(sq[-1]):
         raise DegenerateAlignment("alignment accumulator is rank deficient")
-
     return rotmath.nearest_rotation(m)
 
 
 def absolute_error(estimates, ground_truth) -> tuple[float, float]:
-    """Mean and median per-node angle after optimal gauge alignment.
-
-    Falls back to S = I when the alignment is degenerate.
-    """
-    est = _as_matrices(estimates)
-    gt = np.asarray(ground_truth, dtype=float)
+    """Mean and median per-node angle after optimal gauge alignment S, or
+    S = I when the alignment is degenerate; node i's angle has cosine
+    (tr((Rhat_i S)^T R_i) - 1) / 2 = (<S, G_i>_F - 1) / 2."""
+    g = _gauge_products(estimates, ground_truth)
     try:
-        s = align_gauge(est, gt)
+        s = _nearest_gauge(g)
     except DegenerateAlignment:
         s = np.eye(3)
-    traces = np.einsum("nab,nab->n", est @ s, gt)
-    ang = np.degrees(rotmath.angle_from_trace(traces))
-    return float(np.mean(ang)), float(np.median(ang))
+    return _mean_median([g @ (s.ravel() / 2) - 0.5])
 
 
 def nauc(trace) -> float:
@@ -223,11 +225,8 @@ def steps_to_threshold(trace, threshold_deg: float = 5.0) -> int | None:
 def evaluate(estimates, env, step: int) -> TraceRecord:
     """TraceRecord for the current estimates of an environment."""
     est = _as_matrices(estimates)
-    rel_mean, rel_median = relative_edge_error(est, env)
+    rel = relative_edge_error(est, env)
     if env.ground_truth is None:
-        return TraceRecord(step, None, None, rel_mean, rel_median)
-    ape_mean, ape_median = avg_pairwise_error(est, env.ground_truth)
-    abs_mean, abs_median = absolute_error(est, env.ground_truth)
-    return TraceRecord(
-        step, ape_mean, ape_median, rel_mean, rel_median, abs_mean, abs_median
-    )
+        return TraceRecord(step, None, None, *rel)
+    gt = env.ground_truth
+    return TraceRecord(step, *avg_pairwise_error(est, gt), *rel, *absolute_error(est, gt))

@@ -416,10 +416,12 @@ class TestBench:
         for name in ("aggregate.txt", "aggregate.csv"):
             assert (tmp_path / "redo" / name).read_bytes() == (out / name).read_bytes()
 
-    def test_unknown_algorithm_is_usage_error(self, tmp_path):
+    def test_unknown_algorithm_is_usage_error(self, tmp_path, capsys):
         rc = run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "euler",
                      "--out", tmp_path)
         assert rc == 1
+        err = capsys.readouterr().err
+        assert all(name in err for name in ("'euler'", *ALGO_TOKENS)), err
 
 
 class TestGridUsageErrors:

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_matrices, random_quats, random_unit_vectors
-from rotavg import rotmath
+from rotavg import metrics, rotmath
 from rotavg.averaging import EstimateSet, OptimizerConfig, run_averaging
 from rotavg.envgraph import GeneratorConfig, RotationEnvironment, generate_uniform_env
 from rotavg.metrics import (
@@ -36,6 +36,27 @@ def pair_loop(est, gt):
         angles.append(np.degrees(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))))
     ang = np.concatenate(angles)
     return np.mean(ang), np.median(ang)
+
+
+def edge_loop(est, env):
+    """Reference relative error: each directed edge's angle, one at a time."""
+    ang = [np.degrees(np.arccos(np.clip((np.trace(est[i].T @ q @ est[j]) - 1) / 2, -1, 1)))
+           for (i, j), q in zip(env.edge_index, env.edge_mats)]
+    return np.mean(ang), np.median(ang)
+
+
+def node_loop(est, gt):
+    """Reference absolute error: each node's angle after align_gauge, one at a time."""
+    s = align_gauge(est, gt)
+    ang = [np.degrees(np.arccos(np.clip((np.trace((e @ s).T @ r) - 1) / 2, -1, 1)))
+           for e, r in zip(est, gt)]
+    return np.mean(ang), np.median(ang)
+
+
+def path_env(rng, n, quats=None):
+    """An n-node path with n - 1 edges (Haar unless ``quats`` is given)."""
+    edges = [[i, i + 1] for i in range(n - 1)]
+    return RotationEnvironment(n, edges, random_quats(rng, n - 1) if quats is None else quats)
 
 
 def dense_pairwise(est, gt):
@@ -139,6 +160,22 @@ class TestAvgPairwiseError:
         want = dense_pairwise(est, gt)
         assert_allclose(avg_pairwise_error(est, gt), want, rtol=0, atol=1e-12)
 
+    def test_round_off_convergence_takes_one_pass(self, rng, monkeypatch):
+        # 1e-8 rad from the truth, the pair cosines tie within a few ulps of 1,
+        # where the sample's einsum and the panels' matmul round them apart
+        passes = []
+        panels = metrics._cosine_panels
+        monkeypatch.setattr(metrics, "_cosine_panels", lambda *a: passes.append(None) or panels(*a))
+        for n in (577, 2000):
+            gt = random_matrices(rng, n)
+            est = rotmath.exp_so3(1e-8 * random_unit_vectors(rng, n)) @ gt
+            passes.clear()
+            got = avg_pairwise_error(est, gt)
+            assert len(passes) == 1, n
+            assert_allclose(got, dense_pairwise(est, gt), rtol=0, atol=1e-9)
+            # the loop's relative rotations round each near-zero angle on their own
+            assert_allclose(got, pair_loop(est, gt), rtol=0, atol=1e-7)
+
     def test_equal_traces_fall_back_to_whole_array(self, partition_sizes):
         # a quarter turn and the identity have exact entries, so every
         # pair trace is exactly 3 and the bracket around the median is empty
@@ -179,6 +216,23 @@ class TestRelativeEdgeError:
         mean, median = relative_edge_error(est, env)
         assert abs(mean - np.degrees(theta)) < 1e-9
         assert abs(median - np.degrees(theta)) < 1e-9
+
+    @pytest.mark.parametrize("n", [40, 41])  # 39 and 40 edges
+    def test_matches_edge_loop(self, rng, n):
+        env = path_env(rng, n)
+        est = random_matrices(rng, n)
+        assert_allclose(relative_edge_error(est, env), edge_loop(est, env), rtol=0, atol=1e-12)
+
+    def test_tied_angles_match_edge_loop(self, rng):
+        # at the identity, 20 edges share each of two angles, and the median
+        # is the mean of the two
+        quats = random_quats(rng, 2)
+        env = path_env(rng, 41, np.repeat(quats, 20, axis=0))
+        est = np.tile(np.eye(3), (41, 1, 1))
+        want = edge_loop(est, env)
+        angles = np.degrees(rotmath.rotation_angle(rotmath.quat_to_matrix(quats)))
+        assert want[1] == pytest.approx(angles.mean())
+        assert_allclose(relative_edge_error(est, env), want, rtol=0, atol=1e-12)
 
     def test_invariant_under_global_rotation(self, rng):
         env = generate_uniform_env(GeneratorConfig(n_nodes=15, k_neighbors=3, seed=4))
@@ -250,6 +304,17 @@ class TestAbsoluteError:
         mean, median = absolute_error(est, gt)
         assert abs(mean - 10.0 / 100.0) < 0.2
         assert median < 0.2
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_matches_node_loop(self, rng, n):
+        est, gt = random_matrices(rng, n), random_matrices(rng, n)
+        assert_allclose(absolute_error(est, gt), node_loop(est, gt), rtol=0, atol=1e-12)
+
+    def test_tied_angles_match_node_loop(self, rng):
+        # G_i takes two values, 20 nodes each, so the angles take two values
+        gt = np.tile(np.eye(3), (40, 1, 1))
+        est = np.repeat(random_matrices(rng, 2), 20, axis=0)
+        assert_allclose(absolute_error(est, gt), node_loop(est, gt), rtol=0, atol=1e-12)
 
     def test_invariant_to_estimate_gauge(self, rng):
         gt = random_matrices(rng, 9)

@@ -1,8 +1,9 @@
 """No rotavg module imports, or reads as an attribute, an underscore name
 of another rotavg module: what one module needs from another is public.
 And io reads every file it loads through one line source, and io alone
-writes files, all through its write_text.  No src line exceeds 99
-characters."""
+writes files, all through its write_text.  In metrics one function turns
+cosines into angles and none calls numpy's mean or median.  No src line
+exceeds 99 characters."""
 
 import ast
 from pathlib import Path
@@ -166,6 +167,35 @@ def test_calls_of_io_write_text_are_not_writes(tmp_path):
                     "def b(p):\n    return rio.write_text(p, '')\n"
                     "def c(p, envgraph):\n    return envgraph.write_text('')\n")
     assert file_writers(path) == {"c"}
+
+
+def numpy_uses(path: Path) -> dict[str, set[str]]:
+    """numpy name -> the top-level functions or classes of ``path`` that read
+    it as ``np.<name>`` ('' for module-level code)."""
+    uses = {}
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "np":
+                uses.setdefault(node.attr, set()).add(getattr(stmt, "name", ""))
+    return uses
+
+
+def test_metrics_has_one_angle_function_and_no_mean_or_median():
+    uses = numpy_uses(SRC / "metrics.py")
+    assert len(uses.get("arccos", ())) == 1
+    assert {name: uses[name] for name in ("mean", "median") if name in uses} == {}
+
+
+def test_detects_a_median_put_back_into_relative_edge_error(tmp_path):
+    head = "def relative_edge_error(estimates, env) -> tuple[float, float]:\n"
+    source = (SRC / "metrics.py").read_text(encoding="utf-8")
+    assert head in source
+    path = tmp_path / "metrics.py"
+    path.write_text(source.replace(head, head + "    np.median(np.arccos(0.0))\n"))
+    uses = numpy_uses(path)
+    assert uses["median"] == {"relative_edge_error"}
+    assert len(uses["arccos"]) == 2
 
 
 MAX_LINE = 99
