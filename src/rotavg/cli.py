@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -209,6 +210,20 @@ def _unique_stems(envs):
             name = f"{base}__{k}"
         stems[env] = name
     return stems
+
+
+def _remove_earlier_traces(out: Path) -> None:
+    """Delete the traces an earlier summary.csv in ``out`` names, then their empty folders."""
+    with suppress(OSError, envio.ParseError):  # no earlier summary: nothing to delete
+        rows = envio.load_summary(out / "summary.csv")
+        stems = _unique_stems(list(dict.fromkeys(row.env for row in rows)))
+        cells = [(out / stems[r.env], r) for r in rows if stems[r.env] != ".."]  # '..' leaves out
+        for cell_dir, r in cells:
+            if r.algorithm in ALGO_TOKENS:
+                (cell_dir / f"trace_{r.algorithm}_{r.seed}.csv").unlink(missing_ok=True)
+        for cell_dir in {cell_dir for cell_dir, _ in cells}:
+            with suppress(OSError):  # it still holds other files
+                cell_dir.rmdir()
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -447,6 +462,7 @@ def cmd_bench(args) -> int:
         raise UsageError(f"--jobs (or ROTAVG_JOBS) must be an integer >= 1, got {jobs!r}")
     jobs = int(jobs)
     os.makedirs(out_dir, exist_ok=True)
+    _remove_earlier_traces(Path(out_dir))
 
     stems = _unique_stems(envs)
     cells = [(env, algo, seed) for env in envs for algo in algos for seed in seeds]

@@ -14,8 +14,10 @@ import csv
 import hashlib
 import math
 import re
+from contextlib import suppress
 from dataclasses import astuple, dataclass, fields, replace
 from io import StringIO
+from itertools import islice
 
 import numpy as np
 
@@ -58,6 +60,8 @@ IMPORT_MAX_FROBENIUS = 1e-2
 
 # Largest entry of R^T R - I accepted for a stored so3_matrix estimate.
 EST_MAX_GRAM_ERROR = 1e-6
+
+_CHUNK_ROWS = 4096  # lines per np.loadtxt call of the row reader, _read_table
 
 
 class ParseError(ValueError):
@@ -167,43 +171,68 @@ def _read_count(records, path, name: str) -> tuple[int, int]:
     return line_no, int(count)
 
 
-def _read_rows(records, path, tag: str, count: int, n_ids: int, width: int, form: str,
-               values: str | None = None):
-    """The next ``count`` records, each '<tag> <int>×n_ids <float>×width', as
-    (ids (count, n_ids) int64, values (count, width), line numbers, lines).
+def _read_table(numbered, dtype, parse_line, usecols=None, accept=None):
+    """(rows of the structured ``dtype``, line numbers) of (line number, line)
+    pairs: the one numeric row reader.  np.loadtxt parses _CHUNK_ROWS lines
+    at a time, rejecting what int() or float() rejects and reading the same
+    bits.  A chunk it rejects, holding a NUL (a string field drops it) or the
+    end-of-file marker (line None), or refused by ``accept(rows, line_nos,
+    lines)`` goes line by line through ``parse_line(k, line_no, line)`` (k
+    from 0): it returns a row tuple, or None to drop the line, or raises."""
+    parts, kept_nos, start = [], [], 0
+    while chunk := list(islice(numbered, _CHUNK_ROWS)):
+        line_nos, lines = map(list, zip(*chunk))  # loadtxt reads a list faster than a tuple
+        rows = None
+        if lines[-1] is not None and "\x00" not in "".join(lines):
+            with suppress(ValueError):
+                rows = np.loadtxt(lines, dtype=dtype, comments=None, usecols=usecols, ndmin=1)
+        if rows is None or (accept and not accept(rows, line_nos, lines)):
+            kept = [(n, row) for k, (n, line) in enumerate(chunk, start)
+                    if (row := parse_line(k, n, line)) is not None]
+            line_nos = [n for n, _ in kept]
+            rows = np.array([row for _, row in kept], dtype=dtype)
+        parts.append(rows)
+        kept_nos += line_nos
+        start += len(chunk)
+    return (np.concatenate(parts) if parts else np.zeros(0, dtype)), kept_nos
 
-    Rows are gathered before anything is sized by ``count``, so a count the
-    file cannot back fails at its end.  ``form``, formatted with the row
-    index ``k``, is the message for a line of another shape, and ``values``
-    names the values of a malformed number (default: its row's tokens).  An
-    id that is not an integer or does not fit int64 reads as -1, which every
-    section's range or density check rejects at its row."""
-    ids, vals, line_nos, lines = [], [], [], []
-    for k in range(count):
-        line_no, line = next(records)
+
+def _read_rows(records, path, tag: str, count: int, n_ids: int, width: int, form: str,
+               values: str | None = None, dense: bool = False):
+    """The next ``count`` records, each '<tag> <id>×n_ids <float>×width', as
+    (ids (count, n_ids), values (count, width), line numbers), gathered before
+    anything is sized by ``count``.  ``form``, formatted with the row index
+    ``k``, is the message for a line of another shape; ``values`` names the
+    values of a malformed number (default: its row's tokens).  ``dense`` ids
+    are text, to match the row index; other ids that are no integer or do not
+    fit int64 read as -1, which every section's range check rejects."""
+    id_type = f"U{len(str(count)) + 1}" if dense else "i8"  # longer text cannot match
+    dtype = [("tag", f"U{len(tag) + 1}"), ("id", id_type, (n_ids,)), ("v", "f8", (width,))]
+
+    def parse_line(k, line_no, line):
         if line is None or line.split(None, 1)[0] == "checksum":  # content ends short of count
             raise ParseError(path, line_no, f"unexpected end of file after {k} '{tag}' lines, "
                                             f"where the header counts {count}")
         tokens = line.split()
         if len(tokens) != 1 + n_ids + width or tokens[0] != tag:
             raise ParseError(path, line_no, form.format(k=k))
+        ids = tokens[1:1 + n_ids]
+        if dense:  # the verdict of a numpy text compare, which drops trailing NULs
+            ids = [str(k) if t.rstrip("\x00") == str(k) else "-" for t in ids]
+        else:
+            try:
+                ids = [i if -2**63 <= i < 2**63 else -1 for i in map(int, ids)]
+            except ValueError:
+                ids = [-1] * n_ids
         try:
-            ids += [int(t) for t in tokens[1:1 + n_ids]]
-        except ValueError:
-            ids += [-1] * n_ids
-        try:
-            vals.extend(map(float, tokens[1 + n_ids:]))
+            return tag, ids, [float(t) for t in tokens[1 + n_ids:]]
         except ValueError:
             raise ParseError(path, line_no, "malformed number in "
                                             f"{values or repr(tokens[1 + n_ids:])}") from None
-        line_nos.append(line_no)
-        lines.append(line)
-    try:
-        ids = np.array(ids, dtype=np.int64)
-    except OverflowError:
-        ids = np.array([i if -2**63 <= i < 2**63 else -1 for i in ids], dtype=np.int64)
-    vals = np.array(vals, dtype=float).reshape(count, width)
-    return ids.reshape(count, n_ids), vals, line_nos, lines
+
+    rows, line_nos = _read_table(islice(records, count), dtype, parse_line,
+                                 accept=lambda rows, *_: np.all(rows["tag"] == tag))
+    return rows["id"], rows["v"], line_nos
 
 
 def _rows(tag: str, ids, values) -> list[str]:
@@ -213,28 +242,23 @@ def _rows(tag: str, ids, values) -> list[str]:
     return [template % (*i, *v) for i, v in zip(ids.tolist(), values.tolist())]
 
 
-def _raise_first(path, line_nos, checks) -> None:
-    """Raise ParseError at the earliest row that a check flags, with that
-    check's message for the row.  ``checks`` pairs a boolean mask over the
-    rows with a function from row index to message; at one row the first
-    listed check wins, as it would line by line."""
+def _raise_first(path, line_nos, checks, newline="\n") -> None:
+    """Raise ParseError at the earliest row that a check flags.  ``checks``
+    pairs a boolean mask over the rows with a function of the row index and
+    line (read again, with _streamed_lines' ``newline``) to the message; at
+    one row the first listed check wins, as it would line by line."""
     firsts = [(int(np.argmax(bad)), c) for c, (bad, _) in enumerate(checks) if np.any(bad)]
     if firsts:
         k, c = min(firsts)
-        raise ParseError(path, line_nos[k], checks[c][1](k))
+        line = next(text for n, text in _streamed_lines(path, newline) if n == line_nos[k])
+        raise ParseError(path, line_nos[k], checks[c][1](k, line))
 
 
-def _not_dense(lines):
-    """True where a row's id is not written as its row index."""
-    return np.array([line.split(None, 2)[1] for line in lines], dtype=str) \
-        != np.arange(len(lines)).astype(str)
-
-
-def _non_unit(quats, lines):
+def _non_unit(quats):
     """The unit-quaternion check over rows whose last four tokens are a
     quaternion, naming those tokens as written."""
     return (rotmath.not_unit_quat(quats),
-            lambda k: "non-unit quaternion " + " ".join(lines[k].split()[-4:]))
+            lambda k, line: "non-unit quaternion " + " ".join(line.split()[-4:]))
 
 
 def _check_trailer(records, path, sha) -> int:
@@ -292,28 +316,28 @@ def load_env(path) -> RotationEnvironment:
 
     gt = None
     if has_gt:
-        _, gt, line_nos, lines = _read_rows(records, path, "gt", n_nodes, 1, 4,
-                                            "expected 'gt <id> <w> <x> <y> <z>'")
+        ids, gt, line_nos = _read_rows(records, path, "gt", n_nodes, 1, 4,
+                                       "expected 'gt <id> <w> <x> <y> <z>'", dense=True)
         _raise_first(path, line_nos, [
-            (_not_dense(lines), lambda k: "ground-truth ids must be dense: "
-                                          f"expected {k}, got {lines[k].split()[1]!r}"),
-            _non_unit(gt, lines),
+            (ids[:, 0] != np.arange(n_nodes).astype(str), lambda k, line: "ground-truth ids "
+             f"must be dense: expected {k}, got {line.split()[1]!r}"),
+            _non_unit(gt),
         ])
 
-    edge_index, edge_quats, line_nos, lines = _read_rows(
+    edge_index, edge_quats, line_nos = _read_rows(
         records, path, "edge", n_edges, 2, 4, "expected 'edge <i> <j> <w> <x> <y> <z>'")
     i, j = edge_index.T
 
-    def bad_endpoint(k):  # -1 stands for an endpoint that is no integer or beyond int64
+    def bad_endpoint(k, line):  # -1 stands for an endpoint that is no integer or beyond int64
         try:
-            return "edge endpoint out of range: ({}, {})".format(*map(int, lines[k].split()[1:3]))
+            return "edge endpoint out of range: ({}, {})".format(*map(int, line.split()[1:3]))
         except ValueError:
             return "malformed edge endpoint"
 
     _raise_first(path, line_nos, [
         ((i < 0) | (i >= n_nodes) | (j < 0) | (j >= n_nodes), bad_endpoint),
-        (i == j, lambda k: f"self loop on node {i[k]}"),
-        _non_unit(edge_quats, lines),
+        (i == j, lambda k, _: f"self loop on node {i[k]}"),
+        _non_unit(edge_quats),
     ])
 
     last_line = _check_trailer(records, path, sha)
@@ -374,12 +398,12 @@ def load_estimates(path) -> EstimateSet:
 
     width = math.prod(VALUE_SHAPES[param])
     form = f"expected 'est {{k}}' with {width} values"
-    _, vals, line_nos, lines = _read_rows(records, path, "est", n, 1, width, form,
-                                          "estimate values")
+    ids, vals, line_nos = _read_rows(records, path, "est", n, 1, width, form,
+                                     "estimate values", dense=True)
     bad, reason = _estimate_faults(param, vals)
     _raise_first(path, line_nos, [
-        (_not_dense(lines), lambda k: form.format(k=k)),
-        (bad, lambda k: f"estimate for node {k} {reason}"),
+        (ids[:, 0] != np.arange(n).astype(str), lambda k, _: form.format(k=k)),
+        (bad, lambda k, _: f"estimate for node {k} {reason}"),
     ])
     _check_trailer(records, path, sha)
     return EstimateSet(param, vals.reshape(n, *VALUE_SHAPES[param]))
@@ -405,14 +429,12 @@ class ImportReport:
     def lines(self) -> list[str]:
         return [
             f"source: {self.source_nodes} nodes, {self.source_edges} edge rows",
-            f"dropped: {self.dropped_malformed} malformed, "
-            f"{self.dropped_self_loops} self loops, "
+            f"dropped: {self.dropped_malformed} malformed, {self.dropped_self_loops} self loops, "
             f"{self.dropped_duplicates} duplicate pairs, "
             f"{self.dropped_not_rotation} non-rotation matrices, "
             f"{self.dropped_without_ground_truth} rows touching nodes without ground truth",
             f"components: {self.n_components}; outside largest: "
-            f"{self.dropped_nodes_disconnected} nodes, "
-            f"{self.dropped_edges_disconnected} edges",
+            f"{self.dropped_nodes_disconnected} nodes, {self.dropped_edges_disconnected} edges",
             f"kept: {self.kept_nodes} nodes, {self.kept_edges} edges",
         ]
 
@@ -423,55 +445,51 @@ def import_1dsfm(path, gt_path=None, strict: bool = False):
     Rows are ``i j m11 m12 m13 m21 m22 m23 m31 m32 m33 [t1 t2 t3]`` with a
     row-major relative rotation satisfying R @ R_j = R_i; optional trailing
     translation columns are ignored (strict mode only accepts exactly 11
-    or 14 columns).  Matrices are re-orthonormalized to their nearest
-    rotation (SVD); rows farther than ``IMPORT_MAX_FROBENIUS`` from it
-    (or with a non-finite entry), self loops, and duplicate unordered
-    pairs are dropped and counted.  When a
+    or 14 columns).  Matrices are projected to their nearest rotation;
+    rows farther than ``IMPORT_MAX_FROBENIUS`` from it (or with a
+    non-finite entry), self loops, and duplicate unordered pairs are
+    dropped and counted.  When a
     ground-truth file (rows ``i q_w q_x q_y q_z``) is given, nodes without
     a reference rotation are dropped first so absolute errors are defined
     everywhere.  Only the largest connected component is kept.
 
     Returns (environment, ImportReport).
     """
-    raw_ids: list[tuple[int, int]] = []
-    raw_m: list[float] = []  # the nine matrix entries of each row, in turn
     dropped_malformed = 0
-    dropped_self = 0
 
-    for line_no, line in _streamed_lines(path):
-        if not _is_content(line):
-            continue
+    def parse_line(k, line_no, line):
+        nonlocal dropped_malformed
         tokens = line.split()
         if strict and len(tokens) not in (11, 14):
             raise ParseError(path, line_no, f"expected 11 or 14 columns, got {len(tokens)}")
-        if len(tokens) < 11:
-            dropped_malformed += 1
-            continue
         try:
-            i, j = int(tokens[0]), int(tokens[1])
-            m = [float(t) for t in tokens[2:11]]
-            if max(abs(i), abs(j)).bit_length() > 63:
-                raise ValueError("node id does not fit int64")
-        except ValueError:
+            i, j, *m = int(tokens[0]), int(tokens[1]), *map(float, tokens[2:11])
+            if len(m) < 9 or max(abs(i), abs(j)).bit_length() > 63:
+                raise ValueError("too few columns, or a node id beyond int64")
+        except (ValueError, IndexError):
             if strict:
-                raise ParseError(path, line_no, "malformed number")
+                raise ParseError(path, line_no, "malformed number") from None
             dropped_malformed += 1
-            continue
-        if i == j:
-            dropped_self += 1
-            continue
-        raw_ids.append((i, j))
-        raw_m.extend(m)
+            return None
+        return (i, j), m
 
-    source_edges = len(raw_ids) + dropped_malformed + dropped_self
-    if not raw_ids:
+    def accept(rows, line_nos, lines):  # -2**63 fits int64 but not in 63 bits
+        return rows["ij"].min() > np.iinfo(np.int64).min and not (
+            strict and any(len(line.split()) not in (11, 14) for line in lines))
+
+    content = ((n, line) for n, line in _streamed_lines(path) if _is_content(line))
+    rows, _ = _read_table(content, [("ij", "i8", 2), ("m", "f8", 9)], parse_line,
+                          usecols=range(11), accept=accept)
+    source_edges = rows.size + dropped_malformed
+    keep = rows["ij"][:, 0] != rows["ij"][:, 1]
+    dropped_self = rows.size - int(np.count_nonzero(keep))
+    if not keep.any():
         raise EmptyGraph(f"{path}: no usable edge rows")
-
-    src, dst = np.array(raw_ids, dtype=np.int64).T
-    mats = np.array(raw_m, dtype=float).reshape(-1, 3, 3)
+    src, dst = rows["ij"][keep].T
+    mats = rows["m"][keep].reshape(-1, 3, 3)
     source_nodes = np.unique(np.concatenate([src, dst])).size
 
-    # np.linalg.svd raises on NaN or inf: such rows keep a zero projection,
+    # nearest_rotation raises on NaN or inf: such rows keep a zero projection,
     # and their non-finite gap (like an overflowing one) fails the test below
     finite = np.all(np.isfinite(mats), axis=(1, 2))
     proj = np.zeros_like(mats)
@@ -523,32 +541,19 @@ def import_1dsfm(path, gt_path=None, strict: bool = False):
     if gt_map is not None:
         gt = np.stack([gt_map[int(v)] for v in kept_ids])
 
-    env = RotationEnvironment(
-        kept_ids.size, np.stack([fi, fj], axis=1), fq, ground_truth=gt
-    )
-    report = ImportReport(
-        source_nodes=source_nodes,
-        source_edges=source_edges,
-        dropped_malformed=dropped_malformed,
-        dropped_self_loops=dropped_self,
-        dropped_duplicates=int(dropped_dup),
-        dropped_not_rotation=dropped_not_rotation,
-        dropped_without_ground_truth=dropped_without_gt,
-        n_components=int(n_components),
-        dropped_nodes_disconnected=int(node_ids.size - kept_ids.size),
-        dropped_edges_disconnected=int(np.count_nonzero(~edge_keep)),
-        kept_nodes=int(kept_ids.size),
-        kept_edges=int(fi.size),
-    )
+    env = RotationEnvironment(kept_ids.size, np.stack([fi, fj], axis=1), fq, ground_truth=gt)
+    report = ImportReport(  # in the order of its fields
+        source_nodes, source_edges, dropped_malformed, dropped_self, int(dropped_dup),
+        dropped_not_rotation, dropped_without_gt, int(n_components),
+        int(node_ids.size - kept_ids.size), int(np.count_nonzero(~edge_keep)),
+        int(kept_ids.size), int(fi.size))
     return env, report
 
 
 def _load_gt_table(path) -> dict[int, np.ndarray]:
-    line_of, quats, lines = {}, [], []  # line_of: node id -> the line that lists it
-    line_no = 1  # a file without rows is named at its last line, an empty one at line 1
-    for line_no, line in _streamed_lines(path):
-        if not _is_content(line):
-            continue
+    line_of = {}  # node id -> the line that lists it
+
+    def parse_line(k, line_no, line):
         tokens = line.split()
         if len(tokens) != 5:
             raise ParseError(path, line_no,
@@ -557,20 +562,28 @@ def _load_gt_table(path) -> dict[int, np.ndarray]:
             node = int(np.int64(tokens[0]))
         except (ValueError, OverflowError):  # ids must fit int64
             raise ParseError(path, line_no, "malformed node id") from None
-        if node in line_of:
+        if line_of.setdefault(node, line_no) != line_no:
             raise ParseError(path, line_no, f"node {node} is listed again "
                                             f"(first at line {line_of[node]})")
-        line_of[node] = line_no
         try:
-            quats.append([float(t) for t in tokens[1:]])
+            return node, [float(t) for t in tokens[1:]]
         except ValueError:
             raise ParseError(path, line_no, f"malformed number in {tokens[1:]!r}") from None
-        lines.append(line)
-    if not line_of:
-        raise ParseError(path, line_no, "no ground-truth rows")
-    quats = np.array(quats)
-    _raise_first(path, list(line_of.values()), [_non_unit(quats, lines)])
-    return dict(zip(line_of, quats))
+
+    def new_ids(rows, line_nos, lines):  # else parse_line names the first repeat
+        ids = rows["i"].tolist()
+        fresh = len(set(ids)) == len(ids) and line_of.keys().isdisjoint(ids)
+        line_of.update(zip(ids, line_nos) if fresh else ())
+        return fresh
+
+    content = ((n, line) for n, line in _streamed_lines(path) if _is_content(line))
+    rows, line_nos = _read_table(content, [("i", "i8"), ("q", "f8", 4)], parse_line,
+                                 accept=new_ids)
+    if not line_nos:  # named at the file's last line, an empty file at line 1
+        raise ParseError(path, max((n for n, _ in _streamed_lines(path)), default=1),
+                         "no ground-truth rows")
+    _raise_first(path, line_nos, [_non_unit(rows["q"])], newline=None)
+    return dict(zip(rows["i"].tolist(), rows["q"]))
 
 
 def _csv_rows(path, columns, what: str):

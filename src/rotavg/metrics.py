@@ -151,8 +151,9 @@ def relative_edge_error(estimates, env) -> tuple[float, float]:
     directed edges (each measured constraint exactly once)."""
     est = _as_matrices(estimates)
     i, j = env.edge_index.T
-    target = env.edge_mats @ est[j]  # before est[i]: the other order took 25% longer at 20K edges
-    return _mean_median([np.einsum("eab,eab->e", est[i], target) / 2 - 0.5])
+    # np.take gathers in half est[j]'s time; j before i: the other order took 25% longer
+    target = env.edge_mats @ np.take(est, j, axis=0)
+    return _mean_median([np.einsum("eab,eab->e", np.take(est, i, axis=0), target) / 2 - 0.5])
 
 
 def align_gauge(estimates, ground_truth) -> np.ndarray:

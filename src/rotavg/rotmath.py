@@ -31,6 +31,9 @@ UNIT_QUAT_TOL = 1e-6
 
 _EXP_TAYLOR_EPS = 1e-8  # small-angle switch for exp_so3
 
+# Largest entry of m^T m - I from which two Newton-Schulz steps reach round-off
+_POLAR_TOL = 1e-4
+
 # Near-pi switch for log_so3.  arccos of a rounded trace cannot resolve
 # angles closer to pi than ~1.5e-8, and the antisymmetric-part formula
 # loses accuracy as 1/sin^2; the symmetric-part extraction is accurate to
@@ -189,18 +192,27 @@ def rotation_angle(m) -> np.ndarray:
 
 
 def nearest_rotation(m) -> np.ndarray:
-    """Rotation(s) nearest in Frobenius norm to 3x3 matrices.
-
-    Batched SVD m = U S V^T gives U diag(1, 1, det U V^T) V^T: the
-    orthogonal polar factor when det m > 0, else that factor with its
-    weakest singular direction flipped.  Inputs must be finite.
-    """
-    u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
-    u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
-    x = u @ vt
-    # U V^T is orthogonal to about 4e-16; one Newton-Schulz step brings it
-    # to about 2e-16, which is what absolute errors near zero resolve
-    return x @ (1.5 * np.eye(3) - 0.5 * np.swapaxes(x, -1, -2) @ x)
+    """Rotation(s) nearest in Frobenius norm to finite 3x3 matrices.  A
+    near-rotation (det m > 0, every entry of m^T m - I within _POLAR_TOL)
+    takes two Newton-Schulz steps x <- x (3 I - x^T x) / 2 to its polar
+    factor (Higham 1986); any other m takes the SVD U S V^T and one step
+    from U diag(1, 1, det U V^T) V^T, the polar factor when det m > 0, else
+    that factor with its weakest singular direction flipped."""
+    m = np.asarray(m, dtype=float)
+    flat = m.reshape(-1, 3, 3)
+    # all take the steps, near-rotations keep them; a contiguous x^T is 3x faster
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.swapaxes(flat, -1, -2).copy() @ flat
+        det = np.einsum("...i,...i", np.cross(flat[:, 0], flat[:, 1]), flat[:, 2])
+        near = np.all(np.abs(gram - np.eye(3)) <= _POLAR_TOL, axis=(1, 2)) & (det > 0.0)
+        x = flat @ (1.5 * np.eye(3) - 0.5 * gram)
+        x = x @ (1.5 * np.eye(3) - 0.5 * (np.swapaxes(x, -1, -2).copy() @ x))
+    if not near.all():
+        u, _, vt = np.linalg.svd(flat[~near])
+        u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+        y = u @ vt  # orthogonal to about 4e-16, and to 2e-16 after its step
+        x[~near] = y @ (1.5 * np.eye(3) - 0.5 * np.swapaxes(y, -1, -2) @ y)
+    return x.reshape(m.shape)
 
 
 def log_so3(m) -> np.ndarray:

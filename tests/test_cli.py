@@ -416,6 +416,26 @@ class TestBench:
         for name in ("aggregate.txt", "aggregate.csv"):
             assert (tmp_path / "redo" / name).read_bytes() == (out / name).read_bytes()
 
+    def test_reused_out_drops_the_traces_its_earlier_summary_names(self, tmp_path):
+        out = tmp_path / "bench"
+        grid = ["--seeds", "0", "--iters", 20, "--out", out]
+        assert run_cli("bench", "--envs", "gen:n=10,seed=0", "gen:n=12,seed=1",
+                       "--algos", "mrp,quat", *grid) == 0
+        first, second = out / "gen_n_10_seed_0", out / "gen_n_12_seed_1"
+        (second / "notes.txt").write_text("kept\n")
+        (out / "trace_mrp_0.csv").write_text("not named by the summary\n")
+        # the FOUND repro: the next grid's only source is a missing file
+        assert run_cli("bench", "--envs", tmp_path / "missing.txt", "--algos", "mrp",
+                       *grid) == 2
+        assert not first.exists()  # its traces were all it held
+        assert sorted(p.name for p in second.iterdir()) == ["notes.txt"]
+        assert (out / "trace_mrp_0.csv").exists()
+        # a grid that rewrites its own traces keeps them
+        assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "mrp", *grid) == 0
+        assert sorted(p.name for p in first.iterdir()) == ["trace_mrp_0.csv"]
+        assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "mrp", *grid) == 0
+        assert sorted(p.name for p in first.iterdir()) == ["trace_mrp_0.csv"]
+
     def test_unknown_algorithm_is_usage_error(self, tmp_path, capsys):
         rc = run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "euler",
                      "--out", tmp_path)

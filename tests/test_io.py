@@ -544,6 +544,22 @@ class TestImport1dsfm:
         assert np.array_equal(loaded.edge_index, env.edge_index)
         assert np.array_equal(loaded.edge_quats, env.edge_quats)
 
+    def test_keep_and_drop_counts_on_both_projection_paths(self, tmp_path, rng):
+        # a path of 8 nodes: exact and 1e-8-noisy rotations take Newton-Schulz
+        # steps, the rest the SVD; 1.001 R is kept (gap 1.7e-3), the others are not
+        gt = rotmath.quat_to_matrix(random_quats(rng, 8))
+        rel = [gt[k] @ gt[k + 1].T for k in range(7)]
+        mats = [rel[0], rel[1] + 1e-8 * rng.normal(size=(3, 3)), rel[2] + 3e-3,
+                1.001 * rel[3], 1.01 * rel[4], rel[5] @ np.diag([1.0, 1.0, -1.0]),
+                np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])]
+        path = tmp_path / "eg.txt"
+        write_lines(path, [eg_line(k, k + 1, m) for k, m in enumerate(mats)])
+        env, report = envio.import_1dsfm(path)
+        assert report.dropped_not_rotation == 3
+        assert (report.n_components, report.kept_nodes, report.kept_edges) == (1, 5, 4)
+        assert np.max(np.abs(rotmath.quat_to_matrix(env.edge_quats)
+                             - np.stack([gt[k] @ gt[k + 1].T for k in range(4)]))) < 5e-3
+
 
 class TestRandomEnvRoundTrips:
     @pytest.mark.parametrize("seed", range(10))

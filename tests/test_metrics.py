@@ -223,6 +223,13 @@ class TestRelativeEdgeError:
         est = random_matrices(rng, n)
         assert_allclose(relative_edge_error(est, env), edge_loop(est, env), rtol=0, atol=1e-12)
 
+    def test_np_take_gathers_give_the_fancy_index_bits(self, rng):
+        env = generate_uniform_env(GeneratorConfig(n_nodes=300, k_neighbors=4, seed=6))
+        est = random_matrices(rng, 300)
+        i, j = env.edge_index.T
+        cosines = np.einsum("eab,eab->e", est[i], env.edge_mats @ est[j]) / 2 - 0.5
+        assert relative_edge_error(est, env) == metrics._mean_median([cosines])
+
     def test_tied_angles_match_edge_loop(self, rng):
         # at the identity, 20 edges share each of two angles, and the median
         # is the mean of the two

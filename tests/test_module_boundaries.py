@@ -1,9 +1,9 @@
 """No rotavg module imports, or reads as an attribute, an underscore name
 of another rotavg module: what one module needs from another is public.
-And io reads every file it loads through one line source, and io alone
-writes files, all through its write_text.  In metrics one function turns
-cosines into angles and none calls numpy's mean or median.  No src line
-exceeds 99 characters."""
+And io reads every file it loads through one line source, parses numbers
+only in its one row reader, and alone writes files, all through its
+write_text.  In metrics one function turns cosines into angles and none
+calls numpy's mean or median.  No src line exceeds 99 characters."""
 
 import ast
 from pathlib import Path
@@ -196,6 +196,20 @@ def test_detects_a_median_put_back_into_relative_edge_error(tmp_path):
     uses = numpy_uses(path)
     assert uses["median"] == {"relative_edge_error"}
     assert len(uses["arccos"]) == 2
+
+
+ROW_READER = "_read_table"
+
+
+def test_io_parses_numbers_only_through_its_row_reader():
+    assert numpy_uses(SRC / "io.py").get("loadtxt") == {ROW_READER}
+
+
+def test_detects_a_second_loadtxt_caller(tmp_path):
+    path = tmp_path / "io.py"
+    path.write_text((SRC / "io.py").read_text(encoding="utf-8")
+                    + "\n\ndef _quick(lines):\n    return np.loadtxt(lines)\n")
+    assert numpy_uses(path)["loadtxt"] == {ROW_READER, "_quick"}
 
 
 MAX_LINE = 99

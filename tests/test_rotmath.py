@@ -210,6 +210,81 @@ class TestConversions:
         assert np.max(np.abs(m_conj - np.swapaxes(m, -1, -2))) < 1e-12
 
 
+def svd_nearest(m):
+    """The SVD projection that every matrix took before near-rotations got
+    their Newton-Schulz steps."""
+    u, _, vt = np.linalg.svd(m)
+    u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    x = u @ vt
+    return x @ (1.5 * np.eye(3) - 0.5 * np.swapaxes(x, -1, -2) @ x)
+
+
+def polar_reference(m):
+    """The orthogonal polar factor of near-rotations, by Newton-Schulz
+    steps in extended precision until they stop moving."""
+    x = np.asarray(m, dtype=np.longdouble)
+    for _ in range(8):
+        x = x @ (1.5 * np.eye(3, dtype=np.longdouble) - 0.5 * np.swapaxes(x, -1, -2) @ x)
+    return x
+
+
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+class TestNearestRotation:
+    """Near-rotations take two Newton-Schulz steps; reflections, scaled and
+    rank-deficient matrices keep the SVD projection bit for bit."""
+
+    def near_rotations(self, rng, eps):
+        return random_matrices(rng, 2000) + eps * rng.normal(size=(2000, 3, 3))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-15, 1e-8])
+    def test_near_rotation_reaches_the_polar_factor(self, rng, eps):
+        m = self.near_rotations(rng, eps)
+        out = rotmath.nearest_rotation(m)
+        assert np.max(np.abs(np.linalg.det(out) - 1.0)) <= 1e-15
+        assert np.max(np.abs(np.swapaxes(out, -1, -2) @ out - np.eye(3))) <= 1e-15
+        # the SVD's U V^T is itself up to 6e-15 from the polar factor
+        assert np.max(np.abs(out - svd_nearest(m))) <= 1e-14
+        if not EXTENDED:
+            pytest.skip("long double is no wider than double here")
+        assert np.max(np.abs(out - polar_reference(m))) <= 1e-15
+
+    def test_two_steps_suffice_at_the_tolerance(self, rng):
+        # singular values 1 -+ 4.99e-5 put every entry of m^T m - I just inside it
+        q = random_matrices(rng, 2 * 500).reshape(2, 500, 3, 3)
+        m = q[0] * (1.0 + np.array([-4.99e-5, 0.0, 4.99e-5])) @ q[1]
+        gram = np.swapaxes(m, -1, -2) @ m - np.eye(3)
+        assert 0.95 * rotmath._POLAR_TOL < np.max(np.abs(gram)) < rotmath._POLAR_TOL
+        if not EXTENDED:
+            pytest.skip("long double is no wider than double here")
+        assert np.max(np.abs(rotmath.nearest_rotation(m) - polar_reference(m))) <= 1e-15
+
+    def test_other_matrices_keep_the_svd_bits(self, rng):
+        r = random_matrices(rng, 4)
+        flip = np.diag([1.0, 1.0, -1.0])
+        m = np.stack([r[0] @ flip, 2.0 * r[1], 1.001 * r[2],
+                      np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 2.0]),  # rank 1
+                      r[3] * np.array([1.0, 1.0, 0.0]),  # rank 2
+                      r[3] + 1e-3 * np.ones((3, 3))])
+        out = rotmath.nearest_rotation(m)
+        assert np.array_equal(out, svd_nearest(m))
+        assert np.max(np.abs(np.linalg.det(out) - 1.0)) <= 1e-15
+        assert np.max(np.abs(out[1:3] - r[1:3])) <= 1e-15
+
+    def test_mixed_batch_is_each_matrix_alone(self, rng):
+        r = random_matrices(rng, 6)
+        m = np.stack([r[0], 3.0 * r[1], r[2] + 1e-9, r[3] @ np.diag([-1.0, 1.0, 1.0]),
+                      np.zeros((3, 3)) + np.diag([1.0, 1.0, 0.0]), r[5]])
+        out = rotmath.nearest_rotation(m)
+        for k in range(len(m)):
+            assert np.array_equal(out[k], rotmath.nearest_rotation(m[k]))
+        far = [1, 3, 4]
+        assert np.array_equal(out[far], svd_nearest(m[far]))
+        assert np.max(np.abs(np.linalg.det(out) - 1.0)) <= 1e-15
+        assert rotmath.nearest_rotation(m[:0]).shape == (0, 3, 3)
+
+
 class TestHaarSampling:
     def test_determinism(self):
         a = rotmath.sample_uniform_rotation(np.random.default_rng(7), 10)
