@@ -8,22 +8,17 @@ from .averaging import (
     OptimizerConfig,
     StepReport,
     expected_update,
-    mrp_loss_and_grad,
     mrp_step,
     quaternion_step,
     run_averaging,
     run_ensemble,
     so3_step,
-    target_quaternion,
 )
 from .envgraph import (
     ConnectivityFailure,
     GeneratorConfig,
     RotationEnvironment,
-    build_critical_env,
-    evenly_spaced_rotations,
     generate_uniform_env,
-    neighborhood_of,
 )
 from .metrics import (
     DegenerateAlignment,

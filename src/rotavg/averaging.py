@@ -72,8 +72,8 @@ class OptimizerConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not (np.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError("gamma must be finite and > 0")
-        if not self.eta > 0.0:
-            raise ValueError("eta must be > 0")
+        if not (np.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError("eta must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_iters < 0:
@@ -172,12 +172,6 @@ class EstimateSet:
         return EstimateSet(self.parameterization, self.values)
 
 
-def target_quaternion(q_ij, qhat_j) -> np.ndarray:
-    """Where the sampled node should sit relative to its anchor neighbor:
-    q_i_j x qhat_j (unit)."""
-    return rotmath.quat_mul(q_ij, qhat_j)
-
-
 def _so3_pair_grads(r_i, r_j, rel):
     """Per-pair so3 loss |r|^2 and displacement r = log(R_i^T R(q_i_j) R_j),
     the tangent vector at R_i toward the pair target."""
@@ -211,16 +205,6 @@ def _mrp_pair_grads(psi_i, psi_j, q_ij):
     use_plus = loss[0] < loss[1]
     return (np.where(use_plus, loss[0], loss[1]), np.where(use_plus[..., None], d[0], d[1]),
             np.where(use_plus, 1, -1))
-
-
-def mrp_loss_and_grad(psi_i, psi_j, q_ij):
-    """Single-pair MRP loss, gradient, and selected antipode sign."""
-    loss, grad, sign = _mrp_pair_grads(
-        np.asarray(psi_i, dtype=float),
-        np.asarray(psi_j, dtype=float),
-        np.asarray(q_ij, dtype=float),
-    )
-    return float(loss), grad, int(sign)
 
 
 def _join(arrays):

@@ -98,7 +98,9 @@ def _load_env_source(source: str):
 def _env_stem(source: str) -> str:
     if source.startswith("gen:"):
         return re.sub(r"[^A-Za-z0-9_.-]+", "_", source).strip("_")
-    return Path(source).stem
+    stem = Path(source).stem
+    # '', '.' and '..' name no subdirectory of --out
+    return "_" * max(len(stem), 1) if stem in ("", ".", "..") else stem
 
 
 # run parameters: run and bench flags, which are also bench plan keys -> OptimizerConfig fields
@@ -217,7 +219,7 @@ def _remove_earlier_traces(out: Path) -> None:
     with suppress(OSError, envio.ParseError):  # no earlier summary: nothing to delete
         rows = envio.load_summary(out / "summary.csv")
         stems = _unique_stems(list(dict.fromkeys(row.env for row in rows)))
-        cells = [(out / stems[r.env], r) for r in rows if stems[r.env] != ".."]  # '..' leaves out
+        cells = [(out / stems[r.env], r) for r in rows]
         for cell_dir, r in cells:
             if r.algorithm in ALGO_TOKENS:
                 (cell_dir / f"trace_{r.algorithm}_{r.seed}.csv").unlink(missing_ok=True)

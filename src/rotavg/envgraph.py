@@ -178,14 +178,6 @@ class RotationEnvironment:
         return mats
 
 
-def neighborhood_of(env: RotationEnvironment, i: int) -> list[tuple[int, np.ndarray]]:
-    """Neighbors of node i as (j, q_i_j) pairs, sorted by j."""
-    if not 0 <= i < env.n_nodes:
-        raise IndexError(f"node id {i} out of range")
-    lo, hi = env.nbr_offsets[i], env.nbr_offsets[i + 1]
-    return [(int(j), q) for j, q in zip(env.nbr_ids[lo:hi], env.nbr_quats[lo:hi])]
-
-
 def generate_uniform_env(cfg: GeneratorConfig) -> RotationEnvironment:
     """Synthetic environment with Haar-uniform ground truth and exact edges.
 
@@ -247,42 +239,3 @@ def generate_uniform_env(cfg: GeneratorConfig) -> RotationEnvironment:
         f"(n_nodes={cfg.n_nodes}, {setting}, "
         f"mode={cfg.neighborhood_mode}); the config is likely too sparse"
     )
-
-
-def evenly_spaced_rotations(omega0, theta0: float, n: int = 3) -> np.ndarray:
-    """Rotations exp((theta0 - i*2pi/n) * omega0) for i = 0..n-1."""
-    omega0 = np.asarray(omega0, dtype=float)
-    omega0 = omega0 / np.linalg.norm(omega0)
-    angles = theta0 - np.arange(n) * 2.0 * np.pi / n
-    return rotmath.exp_so3(angles[:, None] * omega0)
-
-
-def build_critical_env(omega0, theta0: float, r0, ground_truth, n_nodes: int = 3):
-    """Fully connected environment plus the phased initial estimates.
-
-    Ground truth is taken as given; the initial estimate of node i is
-    R_i @ r0 @ exp((theta0 + i*2pi/n) * omega0), i.e. a constant offset r0
-    followed by an extra rotation about omega0 whose angle advances by
-    2pi/n per node.  Returns (environment, EstimateSet) with the estimates
-    in the so3_matrix parameterization.
-    """
-    from .averaging import EstimateSet
-
-    gt = np.asarray(ground_truth, dtype=float)
-    n = int(n_nodes)
-    if gt.shape != (n, 3, 3):
-        raise ValueError(f"ground_truth must have shape ({n}, 3, 3)")
-    omega0 = np.asarray(omega0, dtype=float)
-    omega0 = omega0 / np.linalg.norm(omega0)
-    r0 = np.asarray(r0, dtype=float)
-
-    ii, jj = np.triu_indices(n, 1)
-    rel = rotmath.matrix_to_quat(gt[ii] @ np.swapaxes(gt[jj], -1, -2))
-    env = RotationEnvironment(
-        n, np.stack([ii, jj], axis=1), rel, ground_truth=gt
-    )
-
-    angles = theta0 + np.arange(n) * 2.0 * np.pi / n
-    offsets = rotmath.exp_so3(angles[:, None] * omega0)
-    estimates = EstimateSet("so3_matrix", gt @ r0 @ offsets)
-    return env, estimates

@@ -616,22 +616,6 @@ def export_trace(trace, path) -> None:
     write_text(path, csv_text(TRACE_COLUMNS, map(astuple, trace)))
 
 
-def load_trace(path) -> list[TraceRecord]:
-    records = []
-    for line_no, row in _csv_rows(path, TRACE_COLUMNS, "trace"):
-        try:
-            step = int(row[0])
-            vals = [None if cell == "" else float(cell) for cell in row[1:]]
-        except ValueError:
-            raise ParseError(path, line_no, "malformed number")
-        if vals[2] is None or vals[3] is None:
-            raise ParseError(path, line_no, "relative errors must be present")
-        if records and step < records[-1].step:
-            raise ParseError(path, line_no, "steps must be non-decreasing")
-        records.append(TraceRecord(step, *vals))
-    return records
-
-
 def export_summary(rows, path) -> None:
     """Write one row per run; a run that never crossed the convergence
     threshold carries the literal NotConverged token, and a run without

@@ -99,18 +99,6 @@ def quat_conjugate(q) -> np.ndarray:
     return out
 
 
-def quat_from_axis_angle(axis, angle) -> np.ndarray:
-    """Unit quaternion for a rotation of `angle` radians about `axis`."""
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis, axis=-1, keepdims=True)
-    angle = np.asarray(angle, dtype=float)
-    half = 0.5 * angle
-    out = np.empty(np.broadcast_shapes(axis.shape[:-1], angle.shape) + (4,))
-    out[..., 0] = np.cos(half)
-    out[..., 1:] = np.sin(half)[..., None] * axis
-    return out
-
-
 def quat_to_matrix(q) -> np.ndarray:
     q = quat_normalize(q)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
@@ -257,13 +245,6 @@ def _log_near_pi(m, theta, asym):
         # exactly pi: either sign is valid, pick a deterministic one
         w = -w
     return theta * w
-
-
-def geodesic_distance(a, b) -> np.ndarray:
-    """Angle in [0, pi] of the relative rotation a^T b (radians)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.linalg.norm(log_so3(np.swapaxes(a, -1, -2) @ b), axis=-1)
 
 
 def mrp_project(q) -> np.ndarray:

@@ -13,24 +13,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_matrices, random_quats, random_unit_vectors
+from conftest import (build_critical_env, evenly_spaced_rotations, random_matrices,
+                      random_quats, random_unit_vectors)
 from rotavg import io as envio
 from rotavg import metrics, rotmath
 from rotavg.averaging import (
+    ALGORITHM_TABLE,
     EstimateSet,
     OptimizerConfig,
     expected_update,
-    mrp_loss_and_grad,
     run_averaging,
     run_ensemble,
 )
 from rotavg.cli import main as cli_main
-from rotavg.envgraph import (
-    GeneratorConfig,
-    build_critical_env,
-    evenly_spaced_rotations,
-    generate_uniform_env,
-)
+from rotavg.envgraph import GeneratorConfig, generate_uniform_env
+
+mrp_loss_and_grad = ALGORITHM_TABLE["mrp"].pair_grads
 
 BUDGET = 300_000
 

@@ -2,31 +2,27 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_matrices, random_quats, random_unit_vectors
+from conftest import (build_critical_env, evenly_spaced_rotations, neighborhood_of,
+                      random_matrices, random_quats, random_unit_vectors)
 from rotavg import averaging, metrics, rotmath
 from rotavg.averaging import (
+    ALGORITHM_TABLE,
     ALGORITHMS,
     EstimateSet,
     _JoinedGraph,
     OptimizerConfig,
     expected_update,
     initial_estimates,
-    mrp_loss_and_grad,
     mrp_step,
     quaternion_step,
     run_averaging,
     run_ensemble,
     so3_step,
-    target_quaternion,
 )
-from rotavg.envgraph import (
-    GeneratorConfig,
-    RotationEnvironment,
-    build_critical_env,
-    evenly_spaced_rotations,
-    generate_uniform_env,
-    neighborhood_of,
-)
+from rotavg.envgraph import GeneratorConfig, RotationEnvironment, generate_uniform_env
+
+mrp_loss_and_grad = ALGORITHM_TABLE["mrp"].pair_grads  # (loss, grad, antipode sign) of pairs
+target_quaternion = rotmath.quat_mul  # q_i_j x qhat_j: where node i sits relative to j
 
 
 def small_env(seed=0, n=12, k=3):
@@ -69,10 +65,6 @@ class TestTargetQuaternion:
                     np.linalg.norm(target - q_gt[i]),
                     np.linalg.norm(target + q_gt[i]),
                 ) < 1e-9
-
-    def test_matches_quat_mul(self, rng):
-        a, b = random_quats(rng, 50), random_quats(rng, 50)
-        assert_allclose(target_quaternion(a, b), rotmath.quat_mul(a, b), atol=0)
 
 
 class TestMrpLossAndGrad:

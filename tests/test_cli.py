@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -64,15 +65,16 @@ class TestRun:
             assert rc == 0
         assert (a / "trace_mrp_1.csv").read_bytes() == (b / "trace_mrp_1.csv").read_bytes()
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
-        trace = envio.load_trace(a / "trace_mrp_1.csv")
-        assert [r.step for r in trace] == [0, 200, 400, 600, 800]
+        with open(a / "trace_mrp_1.csv", newline="") as f:
+            assert [int(r["step"]) for r in csv.DictReader(f)] == [0, 200, 400, 600, 800]
 
     def test_zero_iters_trace(self, tmp_path):
         rc = run_cli("run", "--env", "gen:n=8,seed=1", "--algo", "so3",
                      "--iters", 0, "--out", tmp_path)
         assert rc == 0
-        trace = envio.load_trace(tmp_path / "trace_so3_0.csv")
-        assert len(trace) == 1 and trace[0].step == 0
+        with open(tmp_path / "trace_so3_0.csv", newline="") as f:
+            trace = list(csv.DictReader(f))
+        assert len(trace) == 1 and trace[0]["step"] == "0"
 
     def test_env_file_input(self, tmp_path):
         assert run_cli("gen", "--n", 10, "--seed", 6, "--out", tmp_path) == 0
@@ -278,6 +280,13 @@ class TestBench:
         assert "checkpoint_every must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "bench").exists()
 
+    def test_infinite_eta_in_plan_is_usage_error(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"envs": ["gen:n=10,seed=0"], "algos": ["mrp"], "eta": 1e999}')
+        assert run_cli("bench", "--plan", plan, "--out", tmp_path / "bench") == 1
+        assert "eta must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
     def test_plan_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_bytes(b'{"envs": ["gen:n=10,seed=0"], "iters": 10, \xff}')
@@ -436,6 +445,26 @@ class TestBench:
         assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "mrp", *grid) == 0
         assert sorted(p.name for p in first.iterdir()) == ["trace_mrp_0.csv"]
 
+    def test_all_dot_stems_get_their_own_subdirectories_of_out(self, tmp_path):
+        sources = tmp_path / "in"
+        assert run_cli("gen", "--n", 10, "--seed", 1, "--out", sources) == 0
+        for name in ("...txt", "..txt"):  # stems '..' and '.'
+            shutil.copyfile(sources / "env_1.txt", sources / name)
+
+        def written():
+            return sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                          if p.is_file() and sources not in p.parents)
+
+        out = tmp_path / "o" / "b"
+        grid = ["--algos", "mrp", "--seeds", 0, "--iters", 20, "--batch", 2, "--out", out]
+        assert run_cli("bench", "--envs", sources / "...txt", sources / "..txt", *grid) == 0
+        assert written() == ["o/b/_/trace_mrp_0.csv", "o/b/__/trace_mrp_0.csv",
+                             "o/b/aggregate.csv", "o/b/aggregate.txt", "o/b/summary.csv"]
+        # a later grid into the same --out deletes those traces and their folders
+        assert run_cli("bench", "--envs", "gen:n=10,seed=1", *grid) == 0
+        assert written() == ["o/b/aggregate.csv", "o/b/aggregate.txt",
+                             "o/b/gen_n_10_seed_1/trace_mrp_0.csv", "o/b/summary.csv"]
+
     def test_unknown_algorithm_is_usage_error(self, tmp_path, capsys):
         rc = run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "euler",
                      "--out", tmp_path)
@@ -465,6 +494,10 @@ class TestGridUsageErrors:
         (["bench", "--envs", "gen:n=10", "--algos", ",", "--out", "OUT"], "empty algorithm list"),
         (["bench", "--plan", "PLAN", "--out", "OUT"], "empty seed list"),
         (["bench", "--envs", "gen:n=10"], "no output directory given"),
+        (["run", "--env", "gen:n=10,k=3,seed=1", "--algo", "mrp", "--eta", "inf",
+          "--iters", 50, "--batch", 2, "--out", "OUT"], "eta must be finite and > 0"),
+        (["bench", "--envs", "gen:n=10,k=3,seed=1", "--algos", "mrp", "--eta", "inf",
+          "--out", "OUT"], "eta must be finite and > 0"),
     ])
     def test_usage_error_names_the_problem(self, tmp_path, capsys, argv, named):
         plan = tmp_path / "plan.json"

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_matrices, random_unit_vectors
+from conftest import (build_critical_env, evenly_spaced_rotations, geodesic_distance,
+                      neighborhood_of, random_matrices, random_unit_vectors)
 from rotavg import rotmath
 from rotavg.envgraph import (
     ConnectivityFailure,
     GeneratorConfig,
     RotationEnvironment,
-    build_critical_env,
-    evenly_spaced_rotations,
     generate_uniform_env,
-    neighborhood_of,
 )
 
 
@@ -57,7 +55,7 @@ class TestGenerator:
         cfg = GeneratorConfig(n_nodes=40, k_neighbors=3, seed=11)
         env = generate_uniform_env(cfg)
         mats = env.ground_truth
-        d = rotmath.geodesic_distance(mats[:, None], mats[None, :])
+        d = geodesic_distance(mats[:, None], mats[None, :])
         np.fill_diagonal(d, np.inf)
         k = cfg.k_neighbors
         expected = set()
@@ -71,7 +69,7 @@ class TestGenerator:
         cfg = GeneratorConfig(n_nodes=25, k_neighbors=3, seed=2)
         env = generate_uniform_env(cfg)
         mats = env.ground_truth
-        d = rotmath.geodesic_distance(mats[:, None], mats[None, :])
+        d = geodesic_distance(mats[:, None], mats[None, :])
         np.fill_diagonal(d, np.inf)
         for a in range(cfg.n_nodes):
             near = np.argpartition(d[a], cfg.k_neighbors - 1)[: cfg.k_neighbors]
@@ -115,7 +113,7 @@ class TestGenerator:
         env = generate_uniform_env(cfg)
         mats = env.ground_truth
         i, j = env.edge_index[:, 0], env.edge_index[:, 1]
-        d = rotmath.geodesic_distance(mats[i], mats[j])
+        d = geodesic_distance(mats[i], mats[j])
         assert np.all(d < cfg.epsilon)
 
     def test_config_validation(self):

@@ -3,9 +3,12 @@ of another rotavg module: what one module needs from another is public.
 And io reads every file it loads through one line source, parses numbers
 only in its one row reader, and alone writes files, all through its
 write_text.  In metrics one function turns cosines into angles and none
-calls numpy's mean or median.  No src line exceeds 99 characters."""
+calls numpy's mean or median.  Every top-level public def or class of src
+is read by src code outside itself or by perfbench, or is named in the
+README.  No src line exceeds 99 characters."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rotavg"
@@ -210,6 +213,59 @@ def test_detects_a_second_loadtxt_caller(tmp_path):
     path.write_text((SRC / "io.py").read_text(encoding="utf-8")
                     + "\n\ndef _quick(lines):\n    return np.loadtxt(lines)\n")
     assert numpy_uses(path)["loadtxt"] == {ROW_READER, "_quick"}
+
+
+ROOT = SRC.parent.parent
+
+
+def _reads(node) -> set[str]:
+    """Every name ``node`` reads as a bare name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unused_public_names(src: Path, users, readme: str) -> list[str]:
+    """'module.name' for each top-level public def or class of the modules in
+    ``src`` that no code reads, neither src outside the definition itself nor
+    the files ``users``, and that ``readme`` does not name.  Imports are not
+    reads, so a package re-export alone does not keep a name."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    stmt_reads = {(module, k): _reads(stmt)
+                  for module, tree in trees.items() for k, stmt in enumerate(tree.body)}
+    user_reads = set().union(*(_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in users))
+    unused = []
+    for module, tree in trees.items():
+        for k, stmt in enumerate(tree.body):
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    or _private(stmt.name):
+                continue
+            read = stmt.name in user_reads or any(
+                stmt.name in names for at, names in stmt_reads.items() if at != (module, k))
+            if not (read or re.search(rf"\b{re.escape(stmt.name)}\b", readme)):
+                unused.append(f"{module}.{stmt.name}")
+    return unused
+
+
+def test_every_public_name_in_src_is_used():
+    users = sorted((ROOT / "perfbench").glob("*.py"))
+    assert unused_public_names(SRC, users, (ROOT / "README.md").read_text(encoding="utf-8")) == []
+
+
+def test_detects_an_unused_public_def(tmp_path):
+    src = tmp_path / "rotavg"
+    src.mkdir()
+    for path in SRC.glob("*.py"):
+        (src / path.name).write_text(path.read_text(encoding="utf-8"))
+    with (src / "metrics.py").open("a") as f:
+        f.write("\n\ndef planted(n):\n    return planted(n - 1) if n else 0\n"
+                "\n\nclass Benched:\n    pass\n\n\ndef documented():\n    pass\n")
+    probe = tmp_path / "probe.py"
+    probe.write_text("from rotavg import metrics\nmetrics.Benched()\n")
+    users = [probe, *sorted((ROOT / "perfbench").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unused_public_names(src, users, readme + "\n`documented()`\n") == ["metrics.planted"]
+    assert unused_public_names(src, users[1:], readme) == \
+        ["metrics.planted", "metrics.Benched", "metrics.documented"]
 
 
 MAX_LINE = 99

