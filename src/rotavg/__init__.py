@@ -8,11 +8,7 @@ from .averaging import (
     OptimizerConfig,
     StepReport,
     expected_update,
-    mrp_step,
-    quaternion_step,
     run_averaging,
-    run_ensemble,
-    so3_step,
 )
 from .envgraph import (
     ConnectivityFailure,

@@ -23,8 +23,8 @@ rule at full strength, clamping each pair gradient to eta and scaling by
 gamma, since the clamp bounds per-update motion in the distorted
 projective space and its calibration is per sample.  At b = 1 all three
 reduce to the plain per-sample algorithms.  Runs are deterministic given
-the config seed.  ``run_ensemble`` steps several runs as one array
-program; each member's estimates and trace equal those of its lone run.
+the config seed.  ``run_averaging`` also steps several runs as one
+array program; each member's estimates and trace equal those of its lone run.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def _step(name: str, estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> 
     iterator of drawn batches."""
     algo = ALGORITHM_TABLE[name]
     if estimates.parameterization != algo.parameterization:
-        raise ValueError(f"{name}_step requires {algo.parameterization}-parameterized estimates")
+        raise ValueError(f"{name} step requires {algo.parameterization}-parameterized estimates")
     b = cfg.batch_size
     idx, j, sel = (_draw(env, rng.random(2 * b), _floyd_bounds(env.n_nodes, b), 0)
                    if isinstance(rng, np.random.Generator) else next(rng))
@@ -352,11 +352,8 @@ def _step(name: str, estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> 
     return StepReport(idx, j, loss, applied, antipodes)
 
 
-# _step bound to each table row; the ensemble loop calls steps through this dict
+# _step bound to each table row, the one step API; the loop calls steps through this dict
 STEP_FUNCTIONS = {name: partial(_step, name) for name in ALGORITHM_TABLE}
-so3_step = STEP_FUNCTIONS["so3"]
-quaternion_step = STEP_FUNCTIONS["quaternion"]
-mrp_step = STEP_FUNCTIONS["mrp"]
 
 
 def initial_estimates(env, cfg: OptimizerConfig, rng) -> EstimateSet:
@@ -378,23 +375,28 @@ def check_run(env, cfg: OptimizerConfig) -> None:
         )
 
 
-def run_ensemble(envs, cfgs):
-    """Run several optimizations as one array program.
+def run_averaging(env, cfg):
+    """Run one optimization, or several as one array program.
 
-    The members share the algorithm and every OptimizerConfig field but
-    the seed; their environments, and node counts, may differ.  Their
-    estimates live in one joint array over the disjoint union of their
-    graphs.  Each step, every member draws its batch from its own run
-    stream exactly as a lone run does, and one step call updates all
-    members' pairs, so each member ends with the estimates and trace
-    that run_averaging(env, cfg) gives alone.  Returns one
-    (EstimateSet, trace) per member, in order.  An exception while
+    Given one environment and one OptimizerConfig, returns (final
+    EstimateSet, trace).  The trace holds a TraceRecord at step 0, at
+    every checkpoint_every steps, and at the final step.  Given
+    equal-length sequences of environments and configs, returns one
+    (EstimateSet, trace) per member, in order.  The members share the
+    algorithm and every OptimizerConfig field but the seed; their
+    environments, and node counts, may differ.  Their estimates live in
+    one joint array over the disjoint union of their graphs.  Each step,
+    every member draws its batch from its own run stream exactly as a lone
+    run does, and one step call updates all members' pairs, so each member
+    ends with the estimates and trace of its lone run.  An exception while
     stepping ends every member, and so does a member whose estimates are
     not finite at a checkpoint (ValueError naming the step and node).
     """
-    envs, cfgs = list(envs), list(cfgs)
+    if isinstance(cfg, OptimizerConfig):
+        return run_averaging([env], [cfg])[0]
+    envs, cfgs = list(env), list(cfg)
     if not envs or len(envs) != len(cfgs):
-        raise ValueError("run_ensemble needs one config per environment")
+        raise ValueError("run_averaging needs one config per environment")
     base = cfgs[0]
     for env, cfg in zip(envs, cfgs):
         check_run(env, cfg)
@@ -431,20 +433,6 @@ def _check_finite(estimates: EstimateSet, cfg: OptimizerConfig, step: int) -> No
             f"run seed {cfg.seed} diverged: node {np.argmin(finite)} has a "
             f"non-finite estimate at step {step} (gamma {cfg.gamma:g})"
         )
-
-
-def run_averaging(env, cfg):
-    """Run one optimization: init, max_iters batch steps, periodic metrics.
-
-    Returns (final EstimateSet, trace).  The trace holds a TraceRecord at
-    step 0, at every checkpoint_every steps, and at the final step.
-    Given equal-length sequences of environments and configs instead, it
-    runs them as one ensemble (see run_ensemble) and returns the list of
-    their results, so one call is one optimization loop either way.
-    """
-    if isinstance(cfg, OptimizerConfig):
-        return run_ensemble([env], [cfg])[0]
-    return run_ensemble(env, cfg)
 
 
 def expected_update(estimates: EstimateSet, env, i: int, algorithm: str) -> np.ndarray:

@@ -136,6 +136,7 @@ def cmd_gen(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
     base = _gen_config(**{key: getattr(args, key) for key in _GEN_KEYS})
+    _checked(replace(base, seed=args.seed + args.count - 1))  # the last seed is in range too
     os.makedirs(args.out, exist_ok=True)
     failures = 0
     for seed in range(args.seed, args.seed + args.count):
@@ -215,11 +216,14 @@ def _unique_stems(envs):
 
 
 def _remove_earlier_traces(out: Path) -> None:
-    """Delete the traces an earlier summary.csv in ``out`` names, then their empty folders."""
+    """Delete the traces an earlier summary.csv in ``out`` names, then their empty
+    folders.  A trace is looked for under every __k suffix of its source's stem: a
+    source that failed in every cell is not in the summary, yet took a suffix."""
     with suppress(OSError, envio.ParseError):  # no earlier summary: nothing to delete
         rows = envio.load_summary(out / "summary.csv")
-        stems = _unique_stems(list(dict.fromkeys(row.env for row in rows)))
-        cells = [(out / stems[r.env], r) for r in rows]
+        folders = [p for p in out.iterdir() if p.is_dir()]
+        cells = [(d, r) for r in rows for d in folders
+                 if re.fullmatch(re.escape(_env_stem(r.env)) + "(__[0-9]+)?", d.name)]
         for cell_dir, r in cells:
             if r.algorithm in ALGO_TOKENS:
                 (cell_dir / f"trace_{r.algorithm}_{r.seed}.csv").unlink(missing_ok=True)
@@ -389,7 +393,7 @@ def _run_grid(cells, configs, jobs, stems, out_dir):
     Each environment is loaded once.  A failure found before stepping
     (loading, a batch larger than the node count) fails only its own
     cells; each algorithm's other cells run as at most ``jobs``
-    ensembles, in worker processes when jobs > 1.
+    ensembles, in worker processes when jobs > 1 and there are several.
     """
     outcomes = {}
     loaded = {}
@@ -420,8 +424,8 @@ def _run_grid(cells, configs, jobs, stems, out_dir):
             part_cells, cfgs = zip(*group[k * len(group) // n:(k + 1) * len(group) // n])
             tasks.append((part_cells, [loaded[c[0]] for c in part_cells], cfgs,
                           [Path(out_dir) / stems[c[0]] for c in part_cells]))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if jobs > 1 and len(tasks) > 1:  # no more workers than ensembles
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_bench_ensemble, tasks))
     else:
         results = list(map(_bench_ensemble, tasks))
@@ -459,17 +463,15 @@ def cmd_bench(args) -> int:
     for env in envs:
         if env.startswith("gen:"):
             _parse_gen_spec(env)
-    jobs = os.environ.get("ROTAVG_JOBS", "1") if args.jobs is None else args.jobs
-    if not str(jobs).isdecimal() or int(jobs) < 1:
-        raise UsageError(f"--jobs (or ROTAVG_JOBS) must be an integer >= 1, got {jobs!r}")
-    jobs = int(jobs)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     os.makedirs(out_dir, exist_ok=True)
     _remove_earlier_traces(Path(out_dir))
 
     stems = _unique_stems(envs)
     cells = [(env, algo, seed) for env in envs for algo in algos for seed in seeds]
 
-    outcomes = _run_grid(cells, configs, jobs, stems, out_dir)
+    outcomes = _run_grid(cells, configs, args.jobs, stems, out_dir)
     rows = [outcomes[c] for c in cells if not isinstance(outcomes[c], str)]
     envio.export_summary(rows, Path(out_dir) / "summary.csv")
     failure_lines = [
@@ -576,9 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_params(p)
     p.add_argument("--plan", help="JSON plan file (overrides the flags above)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=int, default=1,
                    help="worker processes; each algorithm's cells run as at "
-                        "most this many ensembles (default: ROTAVG_JOBS or 1)")
+                        "most this many ensembles")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("aggregate", help="recompute aggregate tables from a summary")

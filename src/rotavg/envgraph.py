@@ -45,6 +45,8 @@ class GeneratorConfig:
             raise ValueError("n_nodes must be >= 2")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
+        if not 0 <= self.seed < 1 << 64:  # seeds are derived mod 2**64
+            raise ValueError(f"seed must be >= 0 and < 2**64, got {self.seed}")
         if self.neighborhood_mode not in NEIGHBORHOOD_MODES:
             raise ValueError(f"unknown neighborhood_mode {self.neighborhood_mode!r}")
         if self.neighborhood_mode == "epsilon" and not self.epsilon > 0.0:

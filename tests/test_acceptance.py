@@ -23,7 +23,6 @@ from rotavg.averaging import (
     OptimizerConfig,
     expected_update,
     run_averaging,
-    run_ensemble,
 )
 from rotavg.cli import main as cli_main
 from rotavg.envgraph import GeneratorConfig, generate_uniform_env
@@ -216,7 +215,7 @@ def test_criterion_5_scaled_table_reproduction():
         ]
         results[algo] = [
             (metrics.steps_to_threshold(trace), trace[-1].ape_mean_deg)
-            for _, trace in run_ensemble(envs, cfgs)
+            for _, trace in run_averaging(envs, cfgs)
         ]
 
     # runs that never crossed 5 degrees count at the full budget
@@ -346,7 +345,7 @@ def test_criterion_6_standin_regime(tmp_path):
     for algo in ("mrp", "quaternion"):
         cfgs = [OptimizerConfig(algorithm=algo, batch_size=64, max_iters=STANDIN_BUDGET,
                                 seed=seed, checkpoint_every=200) for _, seed in members]
-        traces = [trace for _, trace in run_ensemble([env for env, _ in members], cfgs)]
+        traces = [trace for _, trace in run_averaging([env for env, _ in members], cfgs)]
         steps[algo] = [STANDIN_BUDGET if (s := metrics.steps_to_threshold(trace)) is None else s
                        for trace in traces]
         final_abs[algo] = [trace[-1].abs_mean_deg for trace in traces]

@@ -12,12 +12,9 @@ from rotavg.averaging import (
     _JoinedGraph,
     OptimizerConfig,
     expected_update,
+    STEP_FUNCTIONS,
     initial_estimates,
-    mrp_step,
-    quaternion_step,
     run_averaging,
-    run_ensemble,
-    so3_step,
 )
 from rotavg.envgraph import GeneratorConfig, RotationEnvironment, generate_uniform_env
 
@@ -144,7 +141,7 @@ class TestMrpStep:
         est = EstimateSet.from_quaternions(env.ground_truth_quats, "mrp")
         before = est.values.copy()
         cfg = OptimizerConfig("mrp", batch_size=1, seed=0)
-        report = mrp_step(est, env, cfg, np.random.default_rng(0))
+        report = STEP_FUNCTIONS["mrp"](est, env, cfg, np.random.default_rng(0))
         assert np.max(np.abs(est.values - before)) < 1e-12
         assert np.max(report.losses) < 1e-20
 
@@ -155,7 +152,7 @@ class TestMrpStep:
         gamma, eta = 0.7, 0.1
         cfg = OptimizerConfig("mrp", gamma=gamma, eta=eta, batch_size=1, seed=0)
         step_rng = np.random.default_rng(5)
-        probe = mrp_step(est.copy(), env, cfg, np.random.default_rng(5))
+        probe = STEP_FUNCTIONS["mrp"](est.copy(), env, cfg, np.random.default_rng(5))
         i = probe.pairs[0, 0]
         j = probe.pairs[0, 1]
         q_ij = dict(neighborhood_of(env, int(i)))[int(j)]
@@ -164,7 +161,7 @@ class TestMrpStep:
             target = -target
         direction = random_unit_vectors(rng)
         est.values[i] = rotmath.mrp_project(target) + 10.0 * direction
-        report = mrp_step(est, env, cfg, step_rng)
+        report = STEP_FUNCTIONS["mrp"](est, env, cfg, step_rng)
         assert abs(np.linalg.norm(report.updates[0]) - gamma * eta) < 1e-12
 
     def test_clamp_bounds_every_update(self):
@@ -173,7 +170,7 @@ class TestMrpStep:
         rng = np.random.default_rng(cfg.seed)
         est = initial_estimates(env, cfg, rng)
         for _ in range(500):
-            report = mrp_step(est, env, cfg, rng)
+            report = STEP_FUNCTIONS["mrp"](est, env, cfg, rng)
             norms = np.linalg.norm(report.updates, axis=-1)
             assert np.all(norms <= cfg.gamma * cfg.eta + 1e-15)
 
@@ -182,7 +179,7 @@ class TestMrpStep:
         cfg = OptimizerConfig("mrp", batch_size=6, seed=2)
         rng = np.random.default_rng(cfg.seed)
         est = initial_estimates(env, cfg, rng)
-        report = mrp_step(est, env, cfg, rng)
+        report = STEP_FUNCTIONS["mrp"](est, env, cfg, rng)
         assert report.antipodes.shape == (6,)
         assert set(np.unique(report.antipodes)) <= {-1, 1}
 
@@ -198,7 +195,7 @@ class TestMrpStep:
         rng1 = np.random.default_rng(2)
         est = initial_estimates(env, cfg, np.random.default_rng(8))
         before = est.values.copy()
-        report = mrp_step(est, env, cfg, rng1)
+        report = STEP_FUNCTIONS["mrp"](est, env, cfg, rng1)
         # recompute every update against the frozen pre-step state
         for (i, j), upd in zip(report.pairs, report.updates):
             q_ij = dict(neighborhood_of(env, int(i)))[int(j)]
@@ -214,7 +211,7 @@ class TestSo3Step:
         est = EstimateSet.from_quaternions(env.ground_truth_quats, "so3_matrix")
         before = est.values.copy()
         cfg = OptimizerConfig("so3", batch_size=1, seed=0)
-        so3_step(est, env, cfg, np.random.default_rng(0))
+        STEP_FUNCTIONS["so3"](est, env, cfg, np.random.default_rng(0))
         assert np.max(np.abs(est.values - before)) < 1e-12
 
     def test_two_node_full_step_lands_on_target(self, rng):
@@ -222,7 +219,7 @@ class TestSo3Step:
         cfg = OptimizerConfig("so3", gamma=1.0, batch_size=1, seed=0)
         step_rng = np.random.default_rng(3)
         est = initial_estimates(env, cfg, np.random.default_rng(1))
-        report = so3_step(est, env, cfg, step_rng)
+        report = STEP_FUNCTIONS["so3"](est, env, cfg, step_rng)
         i, j = report.pairs[0]
         q_ij = dict(neighborhood_of(env, int(i)))[int(j)]
         target = rotmath.quat_to_matrix(q_ij) @ est.values[j]
@@ -258,7 +255,7 @@ class TestQuaternionStep:
         est = EstimateSet.from_quaternions(env.ground_truth_quats, "quaternion")
         before = est.values.copy()
         cfg = OptimizerConfig("quaternion", batch_size=1, seed=0)
-        report = quaternion_step(est, env, cfg, np.random.default_rng(0))
+        report = STEP_FUNCTIONS["quaternion"](est, env, cfg, np.random.default_rng(0))
         assert np.max(np.abs(np.abs(np.sum(est.values * before, axis=1)) - 1.0)) < 1e-12
         assert np.max(report.losses) < 1e-15
 
@@ -350,8 +347,8 @@ class TestGaugeCovariance:
         cfg = OptimizerConfig("so3", batch_size=4, seed=1)
         est = initial_estimates(env, cfg, np.random.default_rng(11))
         est_t = EstimateSet("so3_matrix", np.einsum("ab,nbc->nac", s_mat, est.values))
-        so3_step(est, env, cfg, np.random.default_rng(42))
-        so3_step(est_t, env_t, cfg, np.random.default_rng(42))
+        STEP_FUNCTIONS["so3"](est, env, cfg, np.random.default_rng(42))
+        STEP_FUNCTIONS["so3"](est_t, env_t, cfg, np.random.default_rng(42))
         assert np.max(np.abs(est_t.values - s_mat @ est.values)) < 1e-9
 
     def test_quaternion_step_commutes_with_global_rotation(self, rng):
@@ -361,8 +358,8 @@ class TestGaugeCovariance:
         cfg = OptimizerConfig("quaternion", batch_size=4, seed=1)
         est = initial_estimates(env, cfg, np.random.default_rng(11))
         est_t = EstimateSet("quaternion", rotmath.quat_mul(s, est.values))
-        quaternion_step(est, env, cfg, np.random.default_rng(42))
-        quaternion_step(est_t, env_t, cfg, np.random.default_rng(42))
+        STEP_FUNCTIONS["quaternion"](est, env, cfg, np.random.default_rng(42))
+        STEP_FUNCTIONS["quaternion"](est_t, env_t, cfg, np.random.default_rng(42))
         rotated = rotmath.quat_mul(s, est.values)
         dots = np.abs(np.sum(est_t.values * rotated, axis=1))
         assert np.max(np.abs(dots - 1.0)) < 1e-9
@@ -515,7 +512,7 @@ class TestRunEnsemble:
                             checkpoint_every=200)
             for _, seed in members
         ]
-        results = run_ensemble([env for env, _ in members], cfgs)
+        results = run_averaging([env for env, _ in members], cfgs)
         assert len(results) == len(members)
         for (env, _), cfg, (est, trace) in zip(members, cfgs, results):
             solo_est, solo_trace = run_averaging(env, cfg)
@@ -549,18 +546,18 @@ class TestRunEnsemble:
         env = small_env()
         cfgs = [OptimizerConfig("mrp", seed=0), OptimizerConfig("mrp", gamma=0.25, seed=1)]
         with pytest.raises(ValueError, match="seed"):
-            run_ensemble([env, env], cfgs)
+            run_averaging([env, env], cfgs)
 
     def test_one_config_per_environment(self):
         env = small_env()
         with pytest.raises(ValueError, match="one config"):
-            run_ensemble([env, env], [OptimizerConfig("mrp")])
+            run_averaging([env, env], [OptimizerConfig("mrp")])
 
     def test_batch_checked_for_every_member(self):
         big, tiny = small_env(0, n=12), small_env(1, n=4, k=2)
         cfgs = [OptimizerConfig("so3", batch_size=8, seed=s) for s in (0, 1)]
         with pytest.raises(ValueError, match="exceeds node count 4"):
-            run_ensemble([big, tiny], cfgs)
+            run_averaging([big, tiny], cfgs)
 
 
 class TestBlockDraws:
@@ -578,7 +575,7 @@ class TestBlockDraws:
         runs = []
         for block in (1, 7, averaging._BLOCK):
             monkeypatch.setattr(averaging, "_BLOCK", block)
-            runs += [run_ensemble(envs[:size], cfgs[:size])[0] for size in (1, 2, 5)]
+            runs += [run_averaging(envs[:size], cfgs[:size])[0] for size in (1, 2, 5)]
         (first_est, first_trace), *rest = runs
         for est, trace in rest:
             assert np.array_equal(est.values, first_est.values)
@@ -646,7 +643,7 @@ class TestStepTable:
         env = small_env()
         cfgs = [OptimizerConfig("quaternion", max_iters=37, seed=seed, checkpoint_every=10)
                 for seed in range(members)]
-        run_ensemble([env] * members, cfgs)
+        run_averaging([env] * members, cfgs)
         assert len(calls) == 37
 
 
@@ -667,18 +664,18 @@ class TestDrift:
         return est
 
     def test_so3_orthonormality(self):
-        est = self.run_steps("so3", so3_step)
+        est = self.run_steps("so3", STEP_FUNCTIONS["so3"])
         mats = est.values
         gram = np.swapaxes(mats, -1, -2) @ mats
         assert np.max(np.abs(gram - np.eye(3))) < 1e-6
         assert np.max(np.abs(np.linalg.det(mats) - 1.0)) < 1e-6
 
     def test_quaternion_unit_norm(self):
-        est = self.run_steps("quaternion", quaternion_step)
+        est = self.run_steps("quaternion", STEP_FUNCTIONS["quaternion"])
         assert np.max(np.abs(np.linalg.norm(est.values, axis=1) - 1.0)) < 1e-9
 
     def test_mrp_finite(self):
-        est = self.run_steps("mrp", mrp_step)
+        est = self.run_steps("mrp", STEP_FUNCTIONS["mrp"])
         assert np.all(np.isfinite(est.values))
 
 

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import rotavg
-from rotavg import averaging, envgraph
+from rotavg import averaging, cli, envgraph
 from rotavg import io as envio
 from rotavg import rotmath
 from rotavg.averaging import EstimateSet, OptimizerConfig
@@ -52,6 +53,26 @@ class TestGen:
         assert run_cli("gen", "--n", 60, "--k", 1, "--seed", 3,
                        "--out", tmp_path) == 2
         assert "seed=3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, count", [(-1, 1), (2**64, 1), (2**64 - 1, 2)])
+    def test_seed_outside_64_bits_is_usage_error_before_output(self, tmp_path, capsys,
+                                                               seed, count):
+        # generator seeds are derived mod 2**64, so these would repeat in-range seeds' files
+        out = tmp_path / "gen"
+        assert run_cli("gen", "--n", 10, "--seed", seed, "--count", count, "--out", out) == 1
+        assert "seed must be" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("bench", "--envs", f"gen:n=10,seed={seed + count - 1}",
+                       "--out", out) == 1
+        assert "seed must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_is_its_own_environment(self, tmp_path):
+        top = 2**64 - 1
+        assert run_cli("gen", "--n", 10, "--seed", top, "--out", tmp_path) == 0
+        assert run_cli("gen", "--n", 10, "--seed", 0, "--out", tmp_path) == 0
+        env = (tmp_path / f"env_{top}.txt").read_bytes()
+        assert env != (tmp_path / "env_0.txt").read_bytes()
 
 
 class TestRun:
@@ -210,6 +231,20 @@ class TestBench:
             outs.append((out / "summary.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_no_more_workers_than_ensembles(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+        grid = ["--envs", "gen:n=10,seed=0", "--iters", 20, "--jobs", 64, "--out", tmp_path]
+        assert run_cli("bench", "--algos", "mrp,so3", "--seeds", "0-2", *grid) == 0
+        assert sizes == [6]  # three one-seed ensembles per algorithm
+        assert run_cli("bench", "--algos", "mrp", "--seeds", 0, *grid) == 0
+        assert sizes == [6]  # one ensemble runs in-process
+
     def test_failed_cell_recorded_grid_continues(self, tmp_path, capsys):
         out = tmp_path / "bench"
         rc = run_cli("bench", "--envs", "gen:n=10,seed=0",
@@ -220,14 +255,6 @@ class TestBench:
         rows = envio.load_summary(out / "summary.csv")
         assert len(rows) == 1  # the good env still ran
         assert (out / "failures.txt").exists()
-
-    def test_jobs_env_var_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ROTAVG_JOBS", "2")
-        out = tmp_path / "bench"
-        rc = run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "mrp",
-                     "--seeds", "0,1", "--iters", 150, "--out", out)
-        assert rc == 0
-        assert len(envio.load_summary(out / "summary.csv")) == 2
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_oversized_batch_fails_only_its_cells(self, tmp_path, jobs):
@@ -333,7 +360,7 @@ class TestBench:
         assert all(" mrp seed=" in line and "step blew up" in line for line in failed)
         assert [r.algorithm for r in envio.load_summary(out / "summary.csv")] == ["quat"] * 4
 
-    def test_bad_jobs_is_usage_error(self, tmp_path, monkeypatch, capsys):
+    def test_bad_jobs_is_usage_error(self, tmp_path, capsys):
         # 0 is a value, not a missing flag: it must not fall through to the default
         assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--jobs", 0,
                        "--out", tmp_path / "zero") == 1
@@ -341,19 +368,6 @@ class TestBench:
         assert not (tmp_path / "zero").exists()
         assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--jobs", -1,
                        "--out", tmp_path) == 1
-        monkeypatch.setenv("ROTAVG_JOBS", "abc")
-        assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--out", tmp_path) == 1
-        assert "ROTAVG_JOBS" in capsys.readouterr().err
-        # a digit that is not a decimal digit: int() cannot read it
-        monkeypatch.setenv("ROTAVG_JOBS", "\u00b2")
-        assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--out", tmp_path / "sq") == 1
-        assert "--jobs (or ROTAVG_JOBS)" in capsys.readouterr().err
-        assert not (tmp_path / "sq").exists()
-
-    def test_non_ascii_decimal_jobs_are_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ROTAVG_JOBS", "\u0661")  # ARABIC-INDIC DIGIT ONE
-        assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "mrp",
-                       "--iters", 10, "--out", tmp_path) == 0
 
     @pytest.mark.parametrize("files, dirs", [
         (["a/env.txt", "b/env.txt"], ["env", "env__2"]),
@@ -444,6 +458,23 @@ class TestBench:
         assert sorted(p.name for p in first.iterdir()) == ["trace_mrp_0.csv"]
         assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "mrp", *grid) == 0
         assert sorted(p.name for p in first.iterdir()) == ["trace_mrp_0.csv"]
+
+    def test_reused_out_drops_a_trace_whose_stem_suffix_a_failed_source_pushed_up(
+            self, tmp_path):
+        for seed, name in enumerate(["b/env.txt", "c/other.txt"]):
+            assert run_cli("gen", "--n", 10, "--seed", seed, "--out", tmp_path / "gen") == 0
+            (tmp_path / name).parent.mkdir()
+            (tmp_path / "gen" / f"env_{seed}.txt").rename(tmp_path / name)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "env.txt").write_text("not an environment\n")
+        out = tmp_path / "o"
+        grid = ["--algos", "mrp", "--seeds", 0, "--iters", 20, "--batch", 2, "--out", out]
+        # a/env.txt fails in every cell, so the summary lists only b/env.txt, under env__2
+        assert run_cli("bench", "--envs", tmp_path / "a" / "env.txt",
+                       tmp_path / "b" / "env.txt", *grid) == 2
+        assert (out / "env__2" / "trace_mrp_0.csv").exists()
+        assert run_cli("bench", "--envs", tmp_path / "c" / "other.txt", *grid) == 0
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["other"]
 
     def test_all_dot_stems_get_their_own_subdirectories_of_out(self, tmp_path):
         sources = tmp_path / "in"

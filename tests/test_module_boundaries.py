@@ -3,9 +3,10 @@ of another rotavg module: what one module needs from another is public.
 And io reads every file it loads through one line source, parses numbers
 only in its one row reader, and alone writes files, all through its
 write_text.  In metrics one function turns cosines into angles and none
-calls numpy's mean or median.  Every top-level public def or class of src
-is read by src code outside itself or by perfbench, or is named in the
-README.  No src line exceeds 99 characters."""
+calls numpy's mean or median.  Every top-level public def, class or
+assigned name (a constant or an alias) of src is read by src code outside
+its own statement or by perfbench, or is named in the README.  No src line
+exceeds 99 characters."""
 
 import ast
 import re
@@ -224,11 +225,25 @@ def _reads(node) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _defines(stmt) -> list[str]:
+    """The names a top-level statement defines: a def's or class's name, or
+    each name an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return []
+
+
 def unused_public_names(src: Path, users, readme: str) -> list[str]:
-    """'module.name' for each top-level public def or class of the modules in
-    ``src`` that no code reads, neither src outside the definition itself nor
-    the files ``users``, and that ``readme`` does not name.  Imports are not
-    reads, so a package re-export alone does not keep a name."""
+    """'module.name' for each top-level public def, class or assigned name of
+    the modules in ``src`` that no code reads, neither src outside the
+    defining statement itself nor the files ``users``, and that ``readme``
+    does not name.  Imports are not reads, so a package re-export alone does
+    not keep a name; nor do dunder names such as ``__version__`` count as
+    public."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
     stmt_reads = {(module, k): _reads(stmt)
                   for module, tree in trees.items() for k, stmt in enumerate(tree.body)}
@@ -236,13 +251,13 @@ def unused_public_names(src: Path, users, readme: str) -> list[str]:
     unused = []
     for module, tree in trees.items():
         for k, stmt in enumerate(tree.body):
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    or _private(stmt.name):
-                continue
-            read = stmt.name in user_reads or any(
-                stmt.name in names for at, names in stmt_reads.items() if at != (module, k))
-            if not (read or re.search(rf"\b{re.escape(stmt.name)}\b", readme)):
-                unused.append(f"{module}.{stmt.name}")
+            for name in _defines(stmt):
+                if name.startswith("_"):
+                    continue
+                read = name in user_reads or any(
+                    name in names for at, names in stmt_reads.items() if at != (module, k))
+                if not (read or re.search(rf"\b{re.escape(name)}\b", readme)):
+                    unused.append(f"{module}.{name}")
     return unused
 
 
@@ -266,6 +281,20 @@ def test_detects_an_unused_public_def(tmp_path):
     assert unused_public_names(src, users, readme + "\n`documented()`\n") == ["metrics.planted"]
     assert unused_public_names(src, users[1:], readme) == \
         ["metrics.planted", "metrics.Benched", "metrics.documented"]
+
+
+def test_detects_an_unused_public_alias(tmp_path):
+    src = tmp_path / "rotavg"
+    src.mkdir()
+    for path in SRC.glob("*.py"):
+        (src / path.name).write_text(path.read_text(encoding="utf-8"))
+    with (src / "averaging.py").open("a") as f:
+        f.write('\n\nplanted_step = STEP_FUNCTIONS["mrp"]\nLIMIT: int = 3\n'
+                'USED = DOCUMENTED = 1\nSTEP_FUNCTIONS["so3"] = USED\n')
+    users = sorted((ROOT / "perfbench").glob("*.py"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8") + "\n`DOCUMENTED`\n"
+    assert unused_public_names(src, users, readme) == \
+        ["averaging.planted_step", "averaging.LIMIT"]
 
 
 MAX_LINE = 99
