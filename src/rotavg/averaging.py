@@ -104,12 +104,6 @@ class StepReport:
     updates: np.ndarray
     antipodes: np.ndarray | None = None
 
-    @property
-    def pairs(self) -> np.ndarray:
-        """(b, 2) sampled (node, neighbor) pairs, built only when read: the
-        ensemble loop discards every report."""
-        return np.stack([self.nodes, self.neighbors], axis=1)
-
 
 class EstimateSet:
     """Per-node orientation estimates in one parameterization.
@@ -162,14 +156,6 @@ class EstimateSet:
         if self.parameterization == "so3_matrix":
             return self.values.copy()
         return rotmath.quat_to_matrix(self.to_quaternions())
-
-    def reparameterize(self, parameterization: str) -> "EstimateSet":
-        if parameterization == self.parameterization:
-            return self.copy()
-        return EstimateSet.from_quaternions(self.to_quaternions(), parameterization)
-
-    def copy(self) -> "EstimateSet":
-        return EstimateSet(self.parameterization, self.values)
 
 
 def _so3_pair_grads(r_i, r_j, rel):
@@ -334,14 +320,20 @@ ALGORITHM_TABLE = {
 ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 
+def _rule(name: str, estimates: EstimateSet) -> Algorithm:
+    """Algorithm ``name``'s table row, once ``estimates`` are in its parameterization."""
+    algo = ALGORITHM_TABLE[name]
+    if estimates.parameterization != algo.parameterization:
+        raise ValueError(f"{name} step requires {algo.parameterization}-parameterized estimates")
+    return algo
+
+
 def _step(name: str, estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> StepReport:
     """One synchronous batch update of algorithm ``name``: every sampled
     pair's gradient comes from the pre-step values, then all apply.
     ``rng`` is a Generator to draw the batch from, or the ensemble loop's
     iterator of drawn batches."""
-    algo = ALGORITHM_TABLE[name]
-    if estimates.parameterization != algo.parameterization:
-        raise ValueError(f"{name} step requires {algo.parameterization}-parameterized estimates")
+    algo = _rule(name, estimates)
     b = cfg.batch_size
     idx, j, sel = (_draw(env, rng.random(2 * b), _floyd_bounds(env.n_nodes, b), 0)
                    if isinstance(rng, np.random.Generator) else next(rng))
@@ -441,16 +433,16 @@ def expected_update(estimates: EstimateSet, env, i: int, algorithm: str) -> np.n
     Averages the unclamped, unscaled per-pair gradient direction under
     uniform neighbor sampling, in the algorithm's tangent/ambient space.
     Zero norm here means the node sits at a critical point of the
-    stochastic scheme.
+    stochastic scheme.  The estimates must be in the algorithm's
+    parameterization, as for its step (ValueError otherwise).
     """
     if algorithm not in ALGORITHM_TABLE:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     lo, hi = env.nbr_offsets[i], env.nbr_offsets[i + 1]
     if hi == lo:
         raise ValueError(f"node {i} has no neighbors")
-    algo = ALGORITHM_TABLE[algorithm]
-    x = estimates.values if estimates.parameterization == algo.parameterization \
-        else estimates.reparameterize(algo.parameterization).values
+    algo = _rule(algorithm, estimates)
+    x = estimates.values
     targets = getattr(env, algo.targets)[lo:hi]
     _, grad, _ = algo.pair_grads(x[i][None], x[env.nbr_ids[lo:hi]], targets)
     return grad.mean(axis=0)

@@ -121,8 +121,9 @@ def _build_config(algo_token: str, settings: dict, seed: int = 0) -> OptimizerCo
 
 
 def _record_run(out_dir, env_label, algo_token, cfg, trace) -> envio.SummaryRow:
-    """Write a run's trace to ``out_dir`` as trace_<algo>_<seed>.csv and
-    return the run's summary row."""
+    """Write a run's trace to ``out_dir``, made here, as trace_<algo>_<seed>.csv
+    and return the run's summary row."""
+    os.makedirs(out_dir, exist_ok=True)
     envio.export_trace(trace, Path(out_dir) / f"trace_{algo_token}_{cfg.seed}.csv")
     # nAUC needs ground truth; each final_<metric> column is <metric> of the last record
     nauc = metrics.nauc(trace) if trace[-1].ape_mean_deg is not None else None
@@ -156,7 +157,8 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     cfg = _build_config(args.algo, vars(args), args.seed)
     env = _load_env_source(args.env)
-    os.makedirs(args.out, exist_ok=True)
+    check_run(env, cfg)  # a batch the env cannot fill makes no --out
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before the run
 
     estimates, trace = run_averaging(env, cfg)
 
@@ -402,8 +404,6 @@ def _run_grid(cells, configs, jobs, stems, out_dir):
             loaded[source] = _load_env_source(source)
         except Exception as exc:  # record and continue the grid
             outcomes.update((c, _failure_message(exc)) for c in cells if c[0] == source)
-            continue
-        os.makedirs(Path(out_dir) / stems[source], exist_ok=True)
     groups = {algo: [] for algo in configs}
     for cell in cells:
         source, algo, seed = cell
@@ -510,7 +510,7 @@ def cmd_import(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    env = envio.load_env(args.env)
+    env = _load_env_source(args.env)
     estimates = envio.load_estimates(args.estimates)
     if estimates.n_nodes != env.n_nodes:
         raise UsageError(
@@ -599,7 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_import)
 
     p = sub.add_parser("eval", help="evaluate stored estimates on an environment")
-    p.add_argument("--env", required=True, help="environment file")
+    p.add_argument("--env", required=True,
+                   help="environment file or gen:n=...,k=...,seed=... spec")
     p.add_argument("--estimates", required=True, help="estimate-set file")
     p.add_argument("--out", default=None, help="optional report file")
     p.set_defaults(func=cmd_eval)

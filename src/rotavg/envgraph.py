@@ -84,8 +84,8 @@ class RotationEnvironment:
     edge_quats : (E, 4) float array
         Relative rotations q_i_j as [w, x, y, z], unit within
         rotmath.UNIT_QUAT_TOL.
-    ground_truth : optional, (N, 4) quaternions or (N, 3, 3) matrices
-        Reference orientations R_i.
+    ground_truth : optional, (N, 4) float array
+        Reference orientations R_i as unit quaternions [w, x, y, z].
 
     The edge graph must form a single connected component.
     """
@@ -128,13 +128,9 @@ class RotationEnvironment:
         self._gt_quats = None
         self.ground_truth = None
         if ground_truth is not None:
-            gt = np.array(ground_truth, dtype=float, copy=True)
-            if gt.shape == (n, 4):
-                self._gt_quats = gt
-            elif gt.shape == (n, 3, 3):
-                self._gt_quats = rotmath.matrix_to_quat(gt)
-            else:
-                raise ValueError("ground_truth must be (N, 4) or (N, 3, 3)")
+            self._gt_quats = np.array(ground_truth, dtype=float, copy=True)
+            if self._gt_quats.shape != (n, 4):
+                raise ValueError("ground_truth must have shape (N, 4)")
             if np.any(rotmath.not_unit_quat(self._gt_quats)):
                 raise ValueError("non-unit ground-truth quaternion")
             self.ground_truth = rotmath.quat_to_matrix(self._gt_quats)

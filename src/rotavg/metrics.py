@@ -212,13 +212,13 @@ def nauc(trace) -> float:
     return float(np.trapezoid(np.array(errs), steps / steps[-1]))
 
 
-def steps_to_threshold(trace, threshold_deg: float = 5.0) -> int | None:
-    """Step of the first checkpoint with mean pairwise error below the
-    threshold; None when no checkpoint qualifies."""
+def steps_to_threshold(trace) -> int | None:
+    """Step of the first checkpoint with mean pairwise error below 5
+    degrees, the summary's steps_to_5deg; None when no checkpoint qualifies."""
     if len(trace) == 0:
         raise ValueError("empty trace")
     for rec in trace:
-        if rec.ape_mean_deg is not None and rec.ape_mean_deg < threshold_deg:
+        if rec.ape_mean_deg is not None and rec.ape_mean_deg < 5.0:
             return rec.step
     return None
 

@@ -271,14 +271,10 @@ def mrp_unproject(psi) -> np.ndarray:
     return np.concatenate([1.0 - n2, 2.0 * psi], axis=-1) / (1.0 + n2)
 
 
-def sample_uniform_rotation(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Haar-uniform unit quaternion(s): normalized 4D Gaussian draws.
-
-    Returns shape (4,) when n is None, else (n, 4).  Deterministic given
-    the generator state.
-    """
-    size = (4,) if n is None else (n, 4)
-    g = rng.standard_normal(size)
+def sample_uniform_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 4) Haar-uniform unit quaternions: normalized 4D Gaussian draws.
+    Deterministic given the generator state."""
+    g = rng.standard_normal((n, 4))
     norm = np.linalg.norm(g, axis=-1, keepdims=True)
     # a zero draw has probability zero but would poison the normalization
     while np.any(norm == 0.0):

@@ -79,10 +79,15 @@ def build_critical_env(omega0, theta0: float, r0, ground_truth, n_nodes: int = 3
     ii, jj = np.triu_indices(n, 1)
     rel = rotmath.matrix_to_quat(gt[ii] @ np.swapaxes(gt[jj], -1, -2))
     env = RotationEnvironment(
-        n, np.stack([ii, jj], axis=1), rel, ground_truth=gt
+        n, np.stack([ii, jj], axis=1), rel, ground_truth=rotmath.matrix_to_quat(gt)
     )
 
     angles = theta0 + np.arange(n) * 2.0 * np.pi / n
     offsets = rotmath.exp_so3(angles[:, None] * omega0)
     estimates = EstimateSet("so3_matrix", gt @ r0 @ offsets)
     return env, estimates
+
+
+def reparameterized(estimates: EstimateSet, parameterization: str) -> EstimateSet:
+    """The same rotations as ``estimates`` in another parameterization."""
+    return EstimateSet.from_quaternions(estimates.to_quaternions(), parameterization)

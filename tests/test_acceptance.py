@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import (build_critical_env, evenly_spaced_rotations, random_matrices,
-                      random_quats, random_unit_vectors)
+                      random_quats, random_unit_vectors, reparameterized)
 from rotavg import io as envio
 from rotavg import metrics, rotmath
 from rotavg.averaging import (
@@ -87,7 +87,7 @@ def test_criterion_3_mrp_critical_points():
         theta = rng.uniform(-np.pi, np.pi)
         gt = evenly_spaced_rotations(omega, theta, 3)
         env, est = build_critical_env(omega, -theta, np.eye(3), gt)
-        est = est.reparameterize("mrp")
+        est = reparameterized(est, "mrp")
         psi = est.values
         for i in range(3):
             worst_expect = max(
@@ -112,7 +112,7 @@ def test_criterion_3_mrp_critical_points():
         angle = rng.uniform(np.radians(10.0), np.radians(170.0))
         gt = evenly_spaced_rotations(omega, theta, 3)
         env, est = build_critical_env(omega, -theta, rotmath.exp_so3(axis * angle), gt)
-        est = est.reparameterize("mrp")
+        est = reparameterized(est, "mrp")
         if max(
             np.linalg.norm(expected_update(est, env, i, "mrp")) for i in range(3)
         ) > 1e-3:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (build_critical_env, evenly_spaced_rotations, neighborhood_of,
-                      random_matrices, random_quats, random_unit_vectors)
+                      random_matrices, random_quats, random_unit_vectors, reparameterized)
 from rotavg import averaging, metrics, rotmath
 from rotavg.averaging import (
     ALGORITHM_TABLE,
@@ -43,7 +43,7 @@ def mrp_critical_fixture(rng, r0=None, theta=None):
     env, est = build_critical_env(
         omega, -theta, np.eye(3) if r0 is None else r0, gt
     )
-    return env, est.reparameterize("mrp"), omega
+    return env, reparameterized(est, "mrp"), omega
 
 
 class TestTargetQuaternion:
@@ -152,9 +152,10 @@ class TestMrpStep:
         gamma, eta = 0.7, 0.1
         cfg = OptimizerConfig("mrp", gamma=gamma, eta=eta, batch_size=1, seed=0)
         step_rng = np.random.default_rng(5)
-        probe = STEP_FUNCTIONS["mrp"](est.copy(), env, cfg, np.random.default_rng(5))
-        i = probe.pairs[0, 0]
-        j = probe.pairs[0, 1]
+        probe = STEP_FUNCTIONS["mrp"](EstimateSet("mrp", est.values), env, cfg,
+                                      np.random.default_rng(5))
+        i = probe.nodes[0]
+        j = probe.neighbors[0]
         q_ij = dict(neighborhood_of(env, int(i)))[int(j)]
         target = rotmath.quat_mul(q_ij, rotmath.mrp_unproject(est.values[j]))
         if target[0] < 0:
@@ -197,7 +198,7 @@ class TestMrpStep:
         before = est.values.copy()
         report = STEP_FUNCTIONS["mrp"](est, env, cfg, rng1)
         # recompute every update against the frozen pre-step state
-        for (i, j), upd in zip(report.pairs, report.updates):
+        for i, j, upd in zip(report.nodes, report.neighbors, report.updates):
             q_ij = dict(neighborhood_of(env, int(i)))[int(j)]
             _, grad, _ = mrp_loss_and_grad(before[i], before[j], q_ij)
             norm = np.linalg.norm(grad)
@@ -220,7 +221,7 @@ class TestSo3Step:
         step_rng = np.random.default_rng(3)
         est = initial_estimates(env, cfg, np.random.default_rng(1))
         report = STEP_FUNCTIONS["so3"](est, env, cfg, step_rng)
-        i, j = report.pairs[0]
+        i, j = report.nodes[0], report.neighbors[0]
         q_ij = dict(neighborhood_of(env, int(i)))[int(j)]
         target = rotmath.quat_to_matrix(q_ij) @ est.values[j]
         assert np.max(np.abs(est.values[i] - target)) < 1e-12
@@ -438,6 +439,18 @@ class TestExpectedUpdate:
             ) > 1e-3:
                 hits += 1
         assert hits == 20
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_requires_the_algorithms_parameterization(self, algorithm):
+        # the same ValueError its step raises; estimates are never converted
+        env = small_env()
+        other = "mrp" if algorithm == "so3" else "so3_matrix"
+        est = EstimateSet.identity(env.n_nodes, other)
+        with pytest.raises(ValueError, match="-parameterized estimates"):
+            expected_update(est, env, 0, algorithm)
+        with pytest.raises(ValueError, match="-parameterized estimates"):
+            STEP_FUNCTIONS[algorithm](est, env, OptimizerConfig(algorithm),
+                                      np.random.default_rng(0))
 
     def test_requires_known_algorithm(self, rng):
         env = small_env()

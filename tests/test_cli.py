@@ -114,6 +114,14 @@ class TestRun:
             assert rc == 0
             assert capsys.readouterr().err.count("clamp") == 1
 
+    def test_batch_beyond_the_node_count_makes_no_out(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = run_cli("run", "--env", "gen:n=10,k=3,seed=1", "--algo", "mrp", "--batch", 11,
+                     "--iters", 5, "--out", out)
+        assert rc == 2
+        assert "batch_size 11 exceeds node count 10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_save_estimates(self, tmp_path):
         rc = run_cli("run", "--env", "gen:n=8,seed=1", "--algo", "mrp",
                      "--iters", 50, "--out", tmp_path, "--save-estimates")
@@ -439,6 +447,16 @@ class TestBench:
         for name in ("aggregate.txt", "aggregate.csv"):
             assert (tmp_path / "redo" / name).read_bytes() == (out / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_source_with_no_cell_run_gets_no_directory(self, tmp_path, jobs):
+        # folders are made when their first trace is written, in a worker at --jobs 2
+        out = tmp_path / "bench"
+        rc = run_cli("bench", "--envs", "gen:n=5,k=2,seed=1", "gen:n=12,k=3,seed=2",
+                     "--algos", "mrp", "--seeds", "0,1", "--batch", 6, "--iters", 10,
+                     "--jobs", jobs, "--out", out)
+        assert rc == 2
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["gen_n_12_k_3_seed_2"]
+
     def test_reused_out_drops_the_traces_its_earlier_summary_names(self, tmp_path):
         out = tmp_path / "bench"
         grid = ["--seeds", "0", "--iters", 20, "--out", out]
@@ -676,6 +694,18 @@ class TestImportEval:
         assert float(values["rel_mean_deg"]) < 1e-6
         assert float(values["ape_mean_deg"]) < 1e-6
         assert float(values["abs_mean_deg"]) < 1e-6
+
+    def test_eval_reads_a_gen_spec_as_run_does(self, tmp_path):
+        spec, out = "gen:n=20,k=3,seed=7", tmp_path / "run"
+        assert run_cli("run", "--env", spec, "--algo", "mrp", "--iters", 200,
+                       "--save-estimates", "--out", out) == 0
+        report = tmp_path / "eval.txt"
+        assert run_cli("eval", "--env", spec, "--estimates", out / "estimates_mrp_0.txt",
+                       "--out", report) == 0
+        with open(out / "trace_mrp_0.csv", newline="") as f:
+            last = list(csv.DictReader(f))[-1]
+        values = dict(line.split() for line in report.read_text().splitlines())
+        assert values == {k: v for k, v in last.items() if k != "step"}
 
     def test_eval_mismatched_n_is_usage_error(self, tmp_path, rng, capsys):
         eg, gt_file = self.make_scene(tmp_path, rng)

@@ -212,6 +212,11 @@ class TestEnvironmentValidation:
         with pytest.raises(ValueError, match="non-unit"):
             RotationEnvironment(3, [[0, 1], [1, 2]], bad)
 
+    def test_ground_truth_is_quaternions_only(self):
+        mats = rotmath.quat_to_matrix(self.quats[:3])
+        with pytest.raises(ValueError, match=r"ground_truth must have shape \(N, 4\)"):
+            RotationEnvironment(3, [[0, 1], [1, 2]], self.quats[:2], ground_truth=mats)
+
     def test_arrays_frozen(self):
         env = RotationEnvironment(3, [[0, 1], [1, 2]], self.quats[:2])
         with pytest.raises(ValueError):

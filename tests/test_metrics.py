@@ -392,10 +392,6 @@ class TestStepsToThreshold:
         assert steps_to_threshold(trace) is None
         assert abs(nauc(trace) - 10.0) < 1e-12
 
-    def test_custom_threshold(self):
-        trace = [record(0, 50.0), record(100, 8.0)]
-        assert steps_to_threshold(trace, threshold_deg=10.0) == 100
-
 
 class TestEvaluate:
     def test_with_ground_truth(self):

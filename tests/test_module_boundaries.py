@@ -297,6 +297,16 @@ def test_detects_an_unused_public_alias(tmp_path):
         ["averaging.planted_step", "averaging.LIMIT"]
 
 
+# ROADMAP's size rule: src stays at or below 2,640 lines.  Its one exception,
+# item 6 (the run diagnostics), may add only the lines those diagnostics need.
+MAX_SRC_LINES = 2640
+
+
+def test_src_stays_within_the_size_cap():
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in SRC.glob("*.py"))
+    assert lines <= MAX_SRC_LINES
+
+
 MAX_LINE = 99
 
 

@@ -303,10 +303,6 @@ class TestHaarSampling:
         expected = np.degrees(np.pi / 2 + 2 / np.pi)
         assert abs(np.degrees(angles.mean()) - expected) < 1.0
 
-    def test_single_sample_shape(self):
-        q = rotmath.sample_uniform_rotation(np.random.default_rng(0))
-        assert q.shape == (4,)
-
 
 @settings(max_examples=200, deadline=None)
 @given(q=unit_quat_strategy())
