@@ -135,7 +135,7 @@ class EstimateSet:
 
     @classmethod
     def from_quaternions(cls, quats, parameterization: str) -> "EstimateSet":
-        quats = rotmath.quat_normalize(np.atleast_2d(quats))
+        quats = rotmath.quat_normalize(quats)
         if parameterization == "so3_matrix":
             return cls(parameterization, rotmath.quat_to_matrix(quats))
         if parameterization == "quaternion":

@@ -524,6 +524,7 @@ def cmd_eval(args) -> int:
              for name in names if getattr(rec, name) is not None]
     report = "\n".join(lines) + "\n"
     if args.out:
+        os.makedirs(Path(args.out).parent, exist_ok=True)  # after the report: a failure makes none
         envio.write_text(args.out, report)
     print(report, end="")
     return EXIT_OK

@@ -125,15 +125,15 @@ class RotationEnvironment:
         self.edge_index = edge_index
         self.edge_quats = edge_quats
 
-        self._gt_quats = None
+        self.ground_truth_quats = None
         self.ground_truth = None
         if ground_truth is not None:
-            self._gt_quats = np.array(ground_truth, dtype=float, copy=True)
-            if self._gt_quats.shape != (n, 4):
+            self.ground_truth_quats = np.array(ground_truth, dtype=float, copy=True)
+            if self.ground_truth_quats.shape != (n, 4):
                 raise ValueError("ground_truth must have shape (N, 4)")
-            if np.any(rotmath.not_unit_quat(self._gt_quats)):
+            if np.any(rotmath.not_unit_quat(self.ground_truth_quats)):
                 raise ValueError("non-unit ground-truth quaternion")
-            self.ground_truth = rotmath.quat_to_matrix(self._gt_quats)
+            self.ground_truth = rotmath.quat_to_matrix(self.ground_truth_quats)
 
         # Symmetrized CSR neighborhoods: node i sees j through q_i_j,
         # node j sees i through its conjugate.
@@ -150,16 +150,12 @@ class RotationEnvironment:
                     self.nbr_quats, self.nbr_counts, self.nbr_offsets):
             arr.setflags(write=False)
         if self.ground_truth is not None:
-            self._gt_quats.setflags(write=False)
+            self.ground_truth_quats.setflags(write=False)
             self.ground_truth.setflags(write=False)
 
     @property
     def n_edges(self) -> int:
         return self.edge_index.shape[0]
-
-    @property
-    def ground_truth_quats(self):
-        return self._gt_quats
 
     @cached_property
     def nbr_mats(self) -> np.ndarray:
@@ -218,8 +214,6 @@ def generate_uniform_env(cfg: GeneratorConfig) -> RotationEnvironment:
         pairs = np.unique(lo * n + hi)
         i = pairs // n
         j = pairs % n
-        if i.size == 0:
-            continue
 
         labels = connected_components(n, i, j)
         if np.unique(labels).size != 1:

@@ -101,7 +101,7 @@ def _streamed_lines(path, newline=None):
     """(line number, line) of each line of a UTF-8 text file, read as a
     stream so that no file is ever held in memory whole.  ``newline`` is
     open()'s: by default a line ends at LF, CRLF or a lone CR and reads with
-    an LF end.  This is the one place a file is opened for reading."""
+    an LF end.  This is io's one file reader."""
     line_no = 0
     try:
         with open(path, "r", encoding="utf-8", newline=newline) as fh:
@@ -171,7 +171,7 @@ def _read_count(records, path, name: str) -> tuple[int, int]:
     return line_no, int(count)
 
 
-def _read_table(numbered, dtype, parse_line, usecols=None, accept=None):
+def _read_table(numbered, dtype, parse_line, accept, usecols=None):
     """(rows of the structured ``dtype``, line numbers) of (line number, line)
     pairs: the one numeric row reader.  np.loadtxt parses _CHUNK_ROWS lines
     at a time, rejecting what int() or float() rejects and reading the same
@@ -186,7 +186,7 @@ def _read_table(numbered, dtype, parse_line, usecols=None, accept=None):
         if lines[-1] is not None and "\x00" not in "".join(lines):
             with suppress(ValueError):
                 rows = np.loadtxt(lines, dtype=dtype, comments=None, usecols=usecols, ndmin=1)
-        if rows is None or (accept and not accept(rows, line_nos, lines)):
+        if rows is None or not accept(rows, line_nos, lines):
             kept = [(n, row) for k, (n, line) in enumerate(chunk, start)
                     if (row := parse_line(k, n, line)) is not None]
             line_nos = [n for n, _ in kept]
@@ -520,15 +520,14 @@ def import_1dsfm(path, gt_path=None, strict: bool = False):
         raise EmptyGraph(f"{path}: no usable edges survived filtering")
 
     # largest connected component on the surviving nodes
-    node_ids = np.unique(np.concatenate([src, dst]))
-    ci = np.searchsorted(node_ids, src)
-    cj = np.searchsorted(node_ids, dst)
+    node_ids, inverse = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    ci, cj = inverse[:src.size], inverse[src.size:]
     labels = connected_components(node_ids.size, ci, cj)
     roots, counts = np.unique(labels, return_counts=True)
     n_components = roots.size
     keep_root = roots[np.argmax(counts)]
     node_keep = labels == keep_root
-    edge_keep = node_keep[ci] & node_keep[cj]
+    edge_keep = node_keep[ci]  # both ends of an edge share its component
 
     kept_ids = node_ids[node_keep]
     remap = np.full(node_ids.size, -1, dtype=np.int64)

@@ -46,8 +46,6 @@ _LOG_PI_EPS = 1e-4
 _QMUL_TERMS = np.zeros((4, 16))
 _QMUL_TERMS[[0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0], np.arange(16)] = [
     1, -1, -1, -1, 1, 1, 1, -1, 1, -1, 1, 1, 1, 1, -1, 1]
-# From this many pairs up, quat_mul's component loops beat its term array.
-_QMUL_COMPONENTWISE = 1024
 # v @ _HAT is the cross-product matrix of v, flattened; m.reshape(9) @ _VEE
 # is the vector of m's antisymmetric part.
 _HAT = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
@@ -76,19 +74,10 @@ def quat_mul(a, b) -> np.ndarray:
     """Hamilton product a * b, renormalized to unit length."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    # both forms add the terms left to right, like aw*bw - ax*bx - ay*by - az*bz
-    # for w; a sign folded into a product is exact, so every bit matches
-    # that formula written out term by term
-    if max(a.size, b.size) < 4 * _QMUL_COMPONENTWISE:
-        terms = a[..., None, :] * (b @ _QMUL_TERMS).reshape(b.shape[:-1] + (4, 4))
-        out = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
-    else:
-        aw, ax, ay, az = np.moveaxis(a, -1, 0)
-        bw, bx, by, bz = np.moveaxis(b, -1, 0)
-        out = np.stack([aw * bw - ax * bx - ay * by - az * bz,
-                        aw * bx + ax * bw + ay * bz - az * by,
-                        aw * by - ax * bz + ay * bw + az * bx,
-                        aw * bz + ax * by - ay * bx + az * bw], axis=-1)
+    # the terms add left to right, as in aw*bw - ax*bx - ay*by - az*bz for w; a sign
+    # folded into a product is exact, so every bit matches that formula written out
+    terms = a[..., None, :] * (b @ _QMUL_TERMS).reshape(b.shape[:-1] + (4, 4))
+    out = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
     return out / np.sqrt(np.add.reduce(out * out, axis=-1, keepdims=True))
 
 
@@ -168,17 +157,6 @@ def exp_so3(v) -> np.ndarray:
     return np.eye(3) + a[..., None, None] * k + b[..., None, None] * (k @ k)
 
 
-def angle_from_trace(tr) -> np.ndarray:
-    """Rotation angle in [0, pi] (radians) of rotations with trace tr."""
-    return np.arccos(np.minimum(np.maximum((tr - 1.0) / 2.0, -1.0), 1.0))
-
-
-def rotation_angle(m) -> np.ndarray:
-    """Rotation angle in [0, pi] of a rotation matrix (radians)."""
-    m = np.asarray(m, dtype=float)
-    return angle_from_trace(m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2])
-
-
 def nearest_rotation(m) -> np.ndarray:
     """Rotation(s) nearest in Frobenius norm to finite 3x3 matrices.  A
     near-rotation (det m > 0, every entry of m^T m - I within _POLAR_TOL)
@@ -211,7 +189,8 @@ def log_so3(m) -> np.ndarray:
     and near zero a Taylor expansion of theta/sin(theta) is used.
     """
     m = np.asarray(m, dtype=float)
-    theta = rotation_angle(m)
+    tr = m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2]
+    theta = np.arccos(np.minimum(np.maximum((tr - 1.0) / 2.0, -1.0), 1.0))
     # antisymmetric part, = sin(theta) * axis
     a = m.reshape(m.shape[:-2] + (9,)) @ _VEE
     small = theta < 1e-4

@@ -707,6 +707,18 @@ class TestImportEval:
         values = dict(line.split() for line in report.read_text().splitlines())
         assert values == {k: v for k, v in last.items() if k != "step"}
 
+    def test_eval_out_makes_its_folder_once_the_report_is_computed(self, tmp_path):
+        spec, out = "gen:n=10,k=3,seed=1", tmp_path / "run"
+        assert run_cli("run", "--env", spec, "--algo", "mrp", "--iters", 20,
+                       "--save-estimates", "--out", out) == 0
+        est_file = out / "estimates_mrp_0.txt"
+        report = tmp_path / "nodir" / "sub" / "eval.txt"
+        assert run_cli("eval", "--env", "gen:n=11,k=3,seed=1", "--estimates", est_file,
+                       "--out", report) == 1
+        assert not (tmp_path / "nodir").exists()
+        assert run_cli("eval", "--env", spec, "--estimates", est_file, "--out", report) == 0
+        assert report.read_text().startswith("rel_mean_deg ")
+
     def test_eval_mismatched_n_is_usage_error(self, tmp_path, rng, capsys):
         eg, gt_file = self.make_scene(tmp_path, rng)
         env_file = tmp_path / "env.txt"

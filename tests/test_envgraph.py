@@ -130,7 +130,7 @@ def angle_rule_pairs(cfg, mats):
     k smallest pair angles of each node, or every pair angle below epsilon."""
     n = len(mats)
     flat = mats.reshape(n, 9)
-    angle = rotmath.angle_from_trace(flat @ flat.T)
+    angle = np.arccos(np.minimum(np.maximum((flat @ flat.T - 1.0) / 2.0, -1.0), 1.0))
     np.fill_diagonal(angle, np.inf)
     if cfg.neighborhood_mode == "knn":
         k = min(cfg.k_neighbors, n - 1)
@@ -178,6 +178,13 @@ class TestNeighborRule:
         assert str(info.value) == (
             "no connected graph after 100 attempts (n_nodes=60, k_neighbors=1, mode=knn); "
             "the config is likely too sparse")
+
+    def test_edgeless_attempts_end_in_connectivity_failure(self):
+        # no pair lies within 1e-300 rad, so every attempt draws no edge at all
+        cfg = GeneratorConfig(n_nodes=10, seed=1, neighborhood_mode="epsilon", epsilon=1e-300)
+        with pytest.raises(ConnectivityFailure) as info:
+            generate_uniform_env(cfg)
+        assert "(n_nodes=10, epsilon=1e-300, mode=epsilon)" in str(info.value)
 
 
 class TestEnvironmentValidation:

@@ -237,7 +237,9 @@ class TestRelativeEdgeError:
         env = path_env(rng, 41, np.repeat(quats, 20, axis=0))
         est = np.tile(np.eye(3), (41, 1, 1))
         want = edge_loop(est, env)
-        angles = np.degrees(rotmath.rotation_angle(rotmath.quat_to_matrix(quats)))
+        m = rotmath.quat_to_matrix(quats)
+        tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
+        angles = np.degrees(np.arccos(np.minimum(np.maximum((tr - 1.0) / 2.0, -1.0), 1.0)))
         assert want[1] == pytest.approx(angles.mean())
         assert_allclose(relative_edge_error(est, env), want, rtol=0, atol=1e-12)
 

@@ -52,7 +52,7 @@ class TestQuatMul:
 
     @pytest.mark.parametrize("n", [1, 16, 64, 640, 4000])
     def test_matches_hamilton_product_term_by_term(self, rng, n):
-        # n = 4000 takes quat_mul's componentwise form, the others its term array
+        # one term-array form at every n; n = 4000 is past any batch a caller sends
         a, b = random_quats(rng, n), random_quats(rng, n)
         (aw, ax, ay, az), (bw, bx, by, bz) = a.T, b.T
         want = np.stack([aw * bw - ax * bx - ay * by - az * bz,
