@@ -439,8 +439,6 @@ def expected_update(estimates: EstimateSet, env, i: int, algorithm: str) -> np.n
     if algorithm not in ALGORITHM_TABLE:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     lo, hi = env.nbr_offsets[i], env.nbr_offsets[i + 1]
-    if hi == lo:
-        raise ValueError(f"node {i} has no neighbors")
     algo = _rule(algorithm, estimates)
     x = estimates.values
     targets = getattr(env, algo.targets)[lo:hi]

@@ -9,7 +9,6 @@ given its flags; rerunning overwrites its outputs byte-identically.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -103,7 +102,7 @@ def _env_stem(source: str) -> str:
     return "_" * max(len(stem), 1) if stem in ("", ".", "..") else stem
 
 
-# run parameters: run and bench flags, which are also bench plan keys -> OptimizerConfig fields
+# run parameters: run and bench flags -> OptimizerConfig fields
 _RUN_PARAMS = {"gamma": "gamma", "eta": "eta", "batch": "batch_size", "iters": "max_iters",
                "checkpoint_every": "checkpoint_every", "init": "init"}
 
@@ -337,7 +336,9 @@ def render_aggregate(milestones, stats, max_iters: int):
     for row in table:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     text = "\n".join(lines) + "\n"
-    return text, envio.csv_text(headers, [[cell.rstrip("%") for cell in row] for row in table])
+    # the CSV's conv% cells drop their "%"; the algorithm name is kept whole
+    csv_rows = [[row[0], *(cell.rstrip("%") for cell in row[1:])] for row in table]
+    return text, envio.csv_text(headers, csv_rows)
 
 
 def _write_aggregate(rows, max_iters, out_dir) -> None:
@@ -346,47 +347,6 @@ def _write_aggregate(rows, max_iters, out_dir) -> None:
     envio.write_text(Path(out_dir) / "aggregate.txt", text)
     envio.write_text(Path(out_dir) / "aggregate.csv", csv_text)
     print(text, end="")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_list_of(check):
-    return lambda value: isinstance(value, list) and all(map(check, value))
-
-
-# bench plan keys: a check of the JSON value and what it should be
-_PLAN_FIELDS = {
-    "envs": (_is_list_of(lambda v: isinstance(v, str)), "a list of strings"),
-    "algos": (_is_list_of(lambda v: isinstance(v, str)), "a list of strings"),
-    "seeds": (_is_list_of(lambda v: _is_int(v) and v >= 0), "a list of non-negative integers"),
-    "out": (lambda v: isinstance(v, str), "a string"),
-    "gamma": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "eta": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "batch": (_is_int, "an integer"),
-    "iters": (_is_int, "an integer"),
-    "checkpoint_every": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "init": (lambda v: v in INIT_MODES, " or ".join(map(repr, INIT_MODES))),
-}
-
-
-def _load_plan(path) -> dict:
-    """A bench plan file, with every key and value checked."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            plan = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise UsageError(f"plan {path} is not valid JSON: {exc}") from None
-    if not isinstance(plan, dict):
-        raise UsageError(f"plan {path} is not a JSON object")
-    for key, value in plan.items():
-        if key not in _PLAN_FIELDS:
-            raise UsageError(f"unknown plan key {key!r} (value {value!r})")
-        check, want = _PLAN_FIELDS[key]
-        if not check(value):
-            raise UsageError(f"plan key {key!r} has bad value {value!r} (want {want})")
-    return plan
 
 
 def _run_grid(cells, configs, jobs, stems, out_dir):
@@ -435,30 +395,19 @@ def _run_grid(cells, configs, jobs, stems, out_dir):
 
 
 def cmd_bench(args) -> int:
-    # the flags, then the plan over them: its keys are the flags' names
-    settings = {key: getattr(args, key) for key in _PLAN_FIELDS}
-    if args.plan:
-        settings.update(_load_plan(args.plan))
-    envs, algos, seeds, out_dir = (settings[key] for key in ("envs", "algos", "seeds", "out"))
-
-    if not envs:
-        raise UsageError("no environments given (use --envs or a plan file)")
+    envs, algos, seeds, out_dir = args.envs, args.algos, args.seeds, args.out
     if not algos:
         raise UsageError("empty algorithm list")
-    if not seeds:
-        raise UsageError("empty seed list")
     for algo in algos:
         if algo not in ALGO_TOKENS:
             raise UsageError(f"unknown algorithm {algo!r} (want {', '.join(ALGO_TOKENS)})")
-    if not out_dir:
-        raise UsageError("no output directory given")
     for what, values in (("environment", envs), ("algorithm", algos), ("seed", seeds)):
         seen = set()
         for v in values:
             if v in seen:
                 raise UsageError(f"{what} {v!r} is repeated in the bench grid")
             seen.add(v)
-    configs = {algo: _build_config(algo, settings) for algo in algos}
+    configs = {algo: _build_config(algo, vars(args)) for algo in algos}
     # a malformed spec is a usage error; one that fails to generate fails its own cells
     for env in envs:
         if env.startswith("gen:"):
@@ -485,7 +434,7 @@ def cmd_bench(args) -> int:
         envio.write_text(failures, "\n".join(failure_lines) + "\n")
         for line in failure_lines:
             print(f"failed: {line}", file=sys.stderr)
-    _write_aggregate(rows, settings["iters"], out_dir)
+    _write_aggregate(rows, args.iters, out_dir)
     return EXIT_DATA if failure_lines else EXIT_OK
 
 
@@ -570,15 +519,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="run a benchmark grid")
-    p.add_argument("--envs", nargs="+", default=[], help="environment files or gen: specs")
+    p.add_argument("--envs", nargs="+", required=True, help="environment files or gen: specs")
     p.add_argument("--algos", default=",".join(ALGO_TOKENS),
                    type=lambda text: [a.strip() for a in text.split(",") if a.strip()],
                    help="comma-separated algorithms")
     p.add_argument("--seeds", type=_parse_seeds, default="0",
                    help="seed list, e.g. 0,1,2 or 0-9")
     _add_run_params(p)
-    p.add_argument("--plan", help="JSON plan file (overrides the flags above)")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes; each algorithm's cells run as at "
                         "most this many ensembles")

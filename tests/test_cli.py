@@ -1,6 +1,7 @@
 import csv
-import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from rotavg import averaging, cli, envgraph
 from rotavg import io as envio
 from rotavg import rotmath
 from rotavg.averaging import EstimateSet, OptimizerConfig
-from rotavg.cli import (ALGO_TOKENS, _GEN_KEYS, _PLAN_FIELDS, _RUN_PARAMS, _build_config,
+from rotavg.cli import (ALGO_TOKENS, _GEN_KEYS, _RUN_PARAMS, _build_config,
                         _parse_gen_spec, _parse_seeds, aggregate_rows, build_parser, main,
                         render_aggregate)
 from rotavg.envgraph import GeneratorConfig
@@ -214,12 +215,8 @@ class TestBench:
 
     def test_single_run_plan_matches_summary(self, tmp_path):
         out = tmp_path / "bench"
-        plan = tmp_path / "plan.json"
-        plan.write_text(
-            '{"envs": ["gen:n=10,seed=3"], "algos": ["mrp"], "seeds": [2],'
-            ' "iters": 300, "checkpoint_every": 100}'
-        )
-        rc = run_cli("bench", "--plan", plan, "--out", out)
+        rc = run_cli("bench", "--envs", "gen:n=10,seed=3", "--algos", "mrp", "--seeds", 2,
+                     "--iters", 300, "--checkpoint-every", 100, "--out", out)
         assert rc == 0
         rows = envio.load_summary(out / "summary.csv")
         assert len(rows) == 1
@@ -288,45 +285,10 @@ class TestBench:
                     name = f"trace_{algo}_{seed}.csv"
                     assert (out / stem / name).read_bytes() == (solo / name).read_bytes()
 
-    @pytest.mark.parametrize("key, value", [("seeds", '"0-2"'), ("batch", '"8"'),
-                                            ("iter", "100"), ("seeds", "[-1]")])
-    def test_bad_plan_is_usage_error_before_any_cell(self, tmp_path, capsys, key, value):
-        plan = tmp_path / "plan.json"
-        plan.write_text('{"envs": ["gen:n=10,seed=3"], "algos": ["mrp"], '
-                        f'"iters": 100, "{key}": {value}}}')
-        out = tmp_path / "bench"
-        assert run_cli("bench", "--plan", plan, "--out", out) == 1
-        err = capsys.readouterr().err
-        assert key in err and str(json.loads(value)) in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("text", ['{"envs": [', '["gen:n=10,seed=3"]'])
-    def test_plan_that_is_not_a_json_object_is_usage_error(self, tmp_path, capsys, text):
-        plan = tmp_path / "plan.json"
-        plan.write_text(text)
-        assert run_cli("bench", "--plan", plan, "--out", tmp_path / "bench") == 1
-        assert "plan.json" in capsys.readouterr().err
-
-    def test_zero_cadence_in_plan_is_usage_error(self, tmp_path, capsys):
-        plan = tmp_path / "plan.json"
-        plan.write_text('{"envs": ["gen:n=10,seed=0"], "algos": ["mrp"], "iters": 400,'
-                        ' "checkpoint_every": 0}')
-        assert run_cli("bench", "--plan", plan, "--out", tmp_path / "bench") == 1
+    def test_zero_cadence_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("bench", "--envs", "gen:n=10,seed=0", "--algos", "mrp", "--iters", 400,
+                       "--checkpoint-every", 0, "--out", tmp_path / "bench") == 1
         assert "checkpoint_every must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "bench").exists()
-
-    def test_infinite_eta_in_plan_is_usage_error(self, tmp_path, capsys):
-        plan = tmp_path / "plan.json"
-        plan.write_text('{"envs": ["gen:n=10,seed=0"], "algos": ["mrp"], "eta": 1e999}')
-        assert run_cli("bench", "--plan", plan, "--out", tmp_path / "bench") == 1
-        assert "eta must be finite and > 0" in capsys.readouterr().err
-        assert not (tmp_path / "bench").exists()
-
-    def test_plan_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
-        plan = tmp_path / "plan.json"
-        plan.write_bytes(b'{"envs": ["gen:n=10,seed=0"], "iters": 10, \xff}')
-        assert run_cli("bench", "--plan", plan, "--out", tmp_path / "bench") == 1
-        assert "plan.json" in capsys.readouterr().err
         assert not (tmp_path / "bench").exists()
 
     @pytest.mark.parametrize("spec, named", [("gen:n=abc", "n='abc'"),
@@ -539,20 +501,19 @@ class TestGridUsageErrors:
         (["run", "--env", "gen:n=10", "--algo", "bogus", "--out", "OUT"],
          "argument --algo: invalid choice: 'bogus'"),
         (["gen", "--count", 0, "--out", "OUT"], "--count must be >= 1"),
-        (["bench", "--algos", "mrp", "--out", "OUT"], "no environments given"),
+        (["bench", "--algos", "mrp", "--out", "OUT"],
+         "the following arguments are required: --envs"),
         (["bench", "--envs", "gen:n=10", "--algos", ",", "--out", "OUT"], "empty algorithm list"),
-        (["bench", "--plan", "PLAN", "--out", "OUT"], "empty seed list"),
-        (["bench", "--envs", "gen:n=10"], "no output directory given"),
+        (["bench", "--envs", "gen:n=10", "--seeds", ",", "--out", "OUT"], "empty seed list"),
+        (["bench", "--envs", "gen:n=10"], "the following arguments are required: --out"),
         (["run", "--env", "gen:n=10,k=3,seed=1", "--algo", "mrp", "--eta", "inf",
           "--iters", 50, "--batch", 2, "--out", "OUT"], "eta must be finite and > 0"),
         (["bench", "--envs", "gen:n=10,k=3,seed=1", "--algos", "mrp", "--eta", "inf",
           "--out", "OUT"], "eta must be finite and > 0"),
     ])
     def test_usage_error_names_the_problem(self, tmp_path, capsys, argv, named):
-        plan = tmp_path / "plan.json"
-        plan.write_text('{"envs": ["gen:n=10"], "seeds": []}')
         out = tmp_path / "out"
-        argv = [{"OUT": out, "PLAN": plan}.get(a, a) for a in argv]
+        argv = [out if a == "OUT" else a for a in argv]
         assert run_cli(*argv) == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
@@ -579,13 +540,12 @@ class TestSettingTables:
     def dests(*argv):
         return set(vars(build_parser().parse_args(list(argv))))
 
-    def test_run_parameters_are_config_fields_flags_and_plan_keys(self):
+    def test_run_parameters_are_config_fields_and_flags(self):
         names = {f.name for f in fields(OptimizerConfig)} - {"algorithm", "seed"}
         assert set(_RUN_PARAMS.values()) == names
         run = self.dests("run", "--env", "e", "--algo", "mrp", "--out", "o")
-        bench = self.dests("bench")
-        assert set(_RUN_PARAMS) <= run & bench & set(_PLAN_FIELDS)
-        assert set(_PLAN_FIELDS) <= bench  # a bench starts from its flags, then reads its plan
+        bench = self.dests("bench", "--envs", "e", "--out", "o")
+        assert set(_RUN_PARAMS) <= run & bench
 
     @staticmethod
     def choices(command, dest):
@@ -599,7 +559,8 @@ class TestSettingTables:
         assert self.choices("run", "algo") == tuple(ALGO_TOKENS)
         assert {a.parameterization for a in averaging.ALGORITHM_TABLE.values()} \
             <= set(averaging.VALUE_SHAPES)
-        assert vars(build_parser().parse_args(["bench"]))["algos"] == list(ALGO_TOKENS)
+        bench = build_parser().parse_args(["bench", "--envs", "e", "--out", "o"])
+        assert bench.algos == list(ALGO_TOKENS)
         assert self.choices("gen", "mode") == envgraph.NEIGHBORHOOD_MODES
         assert self.choices("run", "init") == self.choices("bench", "init") \
             == averaging.INIT_MODES
@@ -613,6 +574,32 @@ class TestSettingTables:
         assert {key: flags[key] for key in _GEN_KEYS} \
             == {key: getattr(defaults, field) for key, (field, _) in _GEN_KEYS.items()}
         assert _parse_gen_spec("gen:") == defaults  # a spec's keys default as the flags do
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadmeCli:
+    """README's CLI text names only what the parser takes."""
+
+    @staticmethod
+    def cli_text():
+        text = README.read_text(encoding="utf-8")
+        return text[text.index("\n## CLI\n"):]
+
+    def test_examples_parse(self):
+        block = self.cli_text().split("```bash\n", 1)[1].split("\n```", 1)[0]
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("rotavg ")]
+        assert commands
+        for line in commands:
+            build_parser().parse_args(shlex.split(line)[1:])
+
+    def test_every_flag_named_is_a_flag(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command").choices
+        flags = {opt for p in sub.values() for a in p._actions for opt in a.option_strings}
+        named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", self.cli_text()))
+        assert named and named <= flags, named - flags
 
 
 class TestAggregateLogic:
@@ -656,6 +643,17 @@ class TestAggregateCsv:
             header, *table = csv.reader(fh)
         assert all(len(row) == len(header) for row in table)
         assert sorted(row[0] for row in table) == sorted(names)
+
+    def test_only_the_conv_cells_drop_their_percent_sign(self, tmp_path):
+        row = envio.SummaryRow("env", "mrp%", 0, 10.0, 5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        envio.export_summary([row], tmp_path / "summary.csv")
+        assert run_cli("aggregate", "--summary", tmp_path / "summary.csv", "--iters", 100,
+                       "--out", tmp_path) == 0
+        with open(tmp_path / "aggregate.csv", newline="", encoding="utf-8") as fh:
+            header, cells = csv.reader(fh)
+        conv = [c for h, c in zip(header, cells) if h.startswith("conv%@")]
+        assert cells[0] == "mrp%" and conv == ["100"] * 5
+        assert (tmp_path / "aggregate.txt").read_text().splitlines()[2].startswith("mrp%  ")
 
 
 class TestImportEval:

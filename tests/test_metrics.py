@@ -129,6 +129,21 @@ class TestAvgPairwiseError:
         want = pair_loop(est, gt)
         assert_allclose(avg_pairwise_error(est, gt), want, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [300, 302])
+    def test_missed_bracket_takes_a_second_pass(self, rng, monkeypatch, n):
+        # with no margin around the sampled middle rank, the bracket holds about
+        # one cosine and misses the middle rank of all the pairs, so every pair
+        # is read again; 300 and 302 nodes give an even and an odd pair count
+        passes = []
+        panels = metrics._cosine_panels
+        monkeypatch.setattr(metrics, "_SAMPLE_MARGIN", 0)
+        monkeypatch.setattr(metrics, "_cosine_panels", lambda *a: passes.append(None) or panels(*a))
+        est = random_matrices(rng, n)
+        gt = random_matrices(rng, n)
+        got = avg_pairwise_error(est, gt)
+        assert len(passes) == 2
+        assert_allclose(got, pair_loop(est, gt), rtol=0, atol=1e-9)
+
     def test_median_selected_inside_bracket(self, rng, partition_sizes):
         # Haar estimates (start 0), estimates near convergence (start n), and
         # estimates whose error depends on the node index (start n // 2)

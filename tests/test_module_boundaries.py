@@ -1,6 +1,6 @@
 """No rotavg module imports, or reads as an attribute, an underscore name
 of another rotavg module: what one module needs from another is public.
-And io reads every file it loads through one line source, parses numbers
+And io alone reads files, all through one line source, parses numbers
 only in its one row reader, and alone writes files, all through its
 write_text.  In metrics one function turns cosines into angles and none
 calls numpy's mean or median.  Every top-level public def, class or
@@ -100,7 +100,8 @@ def file_readers(path: Path) -> set[str]:
 
 
 def test_io_reads_files_only_through_its_line_source():
-    assert file_readers(SRC / "io.py") == {LINE_SOURCE}
+    readers = {f"{p.stem}.{name}" for p in SRC.glob("*.py") for name in file_readers(p)}
+    assert readers == {f"io.{LINE_SOURCE}"}
 
 
 def test_detects_every_kind_of_read(tmp_path):

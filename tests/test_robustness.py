@@ -1,8 +1,6 @@
 """Bad input ends with the documented error, never with NaN output, an
 internal error or an allocation sized by an unchecked header count."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -161,12 +159,4 @@ class TestBenchGridRepeats:
     def test_flags(self, tmp_path, capsys, flags, repeat):
         assert run_cli("bench", *flags, "--iters", 10, "--out", tmp_path / "out") == 1
         assert f"{repeat} is repeated" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_plan(self, tmp_path, capsys):
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({"envs": ["gen:n=10,seed=0"], "algos": ["quat", "quat"],
-                                    "iters": 10, "out": str(tmp_path / "out")}))
-        assert run_cli("bench", "--plan", plan) == 1
-        assert "algorithm 'quat' is repeated" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
