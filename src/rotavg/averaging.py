@@ -162,32 +162,39 @@ def _so3_pair_grads(r_i, r_j, rel):
     """Per-pair so3 loss |r|^2 and displacement r = log(R_i^T R(q_i_j) R_j),
     the tangent vector at R_i toward the pair target."""
     r = rotmath.log_so3(np.swapaxes(r_i, -1, -2) @ rel @ r_j)
-    return np.add.reduce(r * r, axis=-1), r, None
+    return np.vecdot(r, r), r, None
 
 
 def _quaternion_pair_grads(q_i, q_j, q_ij):
     """Per-pair loss 1 - <q_i, t>^2 and its R^4 gradient -2 <q_i, t> t,
     where t = q_i_j x q_j."""
     q_t = rotmath.quat_mul(q_ij, q_j)
-    dot = np.add.reduce(q_i * q_t, axis=-1)
+    dot = np.vecdot(q_i, q_t)
     return 1.0 - dot * dot, (-2.0 * dot)[..., None] * q_t, None
 
 
 def _mrp_pair_grads(psi_i, psi_j, q_ij):
     """Vectorized per-pair MRP loss/gradient with antipode selection.
 
-    Projects the target q_i_j x phi^-1(psi_j) under both signs, keeps the
-    candidate nearer to psi_i (an antipode inside the south-pole guard
-    band is never selected), and returns (loss, grad, sign) where
-    grad = psi_i - phi(sign * target); the constant factor 2 of the true
-    gradient is folded into the learning rate.
+    The target is q_i_j x phi^-1(psi_j), and phi^-1(psi_j) is
+    (1 - |psi_j|^2, 2 psi_j) / r with r = 1 + |psi_j|^2, a unit quaternion
+    since (1 - |psi_j|^2)^2 + 4 |psi_j|^2 = r^2.  So the step builds the
+    unnormalized t = q_i_j x (1 - |psi_j|^2, 2 psi_j), of norm r, and
+    projects both antipodes +-t / r as phi(+-t / r) = +-t_v / (r +- t_w),
+    with no unprojection and no renormalization.  It keeps the candidate
+    nearer to psi_i; an antipode inside the south-pole guard band,
+    +-t_w <= (-1 + SOUTH_POLE_TOL) r, is never selected.  Returns
+    (loss, grad, sign) where grad = psi_i - phi(sign * t / r); the constant
+    factor 2 of the true gradient is folded into the learning rate.
     """
-    target = rotmath.quat_mul(q_ij, rotmath.mrp_unproject(psi_j))
-    both = np.array([target, -target])  # the target and its antipode
+    n2 = np.vecdot(psi_j, psi_j)
+    r = 1.0 + n2
+    t = rotmath.quat_product(q_ij, np.concatenate([(1.0 - n2)[..., None], 2.0 * psi_j], axis=-1))
+    both = np.array([t, -t])  # the target and its antipode, each of norm r
     w = both[..., 0]
-    ok = w > -1.0 + rotmath.SOUTH_POLE_TOL
-    d = psi_i - both[..., 1:] / np.where(ok, 1.0 + w, 1.0)[..., None]
-    loss = np.where(ok, np.add.reduce(d * d, axis=-1), np.inf)
+    ok = w > (-1.0 + rotmath.SOUTH_POLE_TOL) * r
+    d = psi_i - both[..., 1:] / np.where(ok, r + w, 1.0)[..., None]
+    loss = np.where(ok, np.vecdot(d, d), np.inf)
     use_plus = loss[0] < loss[1]
     return (np.where(use_plus, loss[0], loss[1]), np.where(use_plus[..., None], d[0], d[1]),
             np.where(use_plus, 1, -1))
@@ -293,7 +300,7 @@ def _mrp_apply(psi_i, grad, cfg):
     gamma * eta regardless of batch size.  The clamp is what keeps steps
     sane where the projection distorts scale, and its calibration is tied
     to the per-sample rate."""
-    scale = cfg.eta / np.maximum(np.sqrt(np.add.reduce(grad * grad, axis=-1)), cfg.eta)
+    scale = cfg.eta / np.maximum(np.sqrt(np.vecdot(grad, grad)), cfg.eta)
     applied = (-cfg.gamma) * scale[:, None] * grad
     return psi_i + applied, applied
 
@@ -434,10 +441,13 @@ def expected_update(estimates: EstimateSet, env, i: int, algorithm: str) -> np.n
     uniform neighbor sampling, in the algorithm's tangent/ambient space.
     Zero norm here means the node sits at a critical point of the
     stochastic scheme.  The estimates must be in the algorithm's
-    parameterization, as for its step (ValueError otherwise).
+    parameterization, as for its step, and i a node of env (ValueError
+    otherwise).
     """
     if algorithm not in ALGORITHM_TABLE:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if not 0 <= i < env.n_nodes:
+        raise ValueError(f"node i = {i} is outside [0, N) for N = {env.n_nodes}")
     lo, hi = env.nbr_offsets[i], env.nbr_offsets[i + 1]
     algo = _rule(algorithm, estimates)
     x = estimates.values

@@ -52,6 +52,7 @@ _HAT = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
                  [0, 0, 1, 0, 0, 0, -1, 0, 0],
                  [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
 _VEE = 0.5 * _HAT.T
+_EYE3 = np.eye(3)  # exp_so3 adds it to every batch; building it costs a numpy call
 
 
 class SouthPoleSingularity(ValueError):
@@ -70,15 +71,21 @@ def not_unit_quat(q) -> np.ndarray:
     return ~(np.abs(np.hypot.reduce(q, axis=-1) - 1.0) <= UNIT_QUAT_TOL)
 
 
-def quat_mul(a, b) -> np.ndarray:
-    """Hamilton product a * b, renormalized to unit length."""
+def quat_product(a, b) -> np.ndarray:
+    """Hamilton product a * b, not renormalized: its norm is |a| |b|."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    # the terms add left to right, as in aw*bw - ax*bx - ay*by - az*bz for w; a sign
-    # folded into a product is exact, so every bit matches that formula written out
-    terms = a[..., None, :] * (b @ _QMUL_TERMS).reshape(b.shape[:-1] + (4, 4))
-    out = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
-    return out / np.sqrt(np.add.reduce(out * out, axis=-1, keepdims=True))
+    # component k is one vecdot of a with its signed b terms, as in
+    # aw*bw - ax*bx - ay*by - az*bz for w.  vecdot may order or fuse those adds
+    # its own way, so a last bit can differ from that formula written out; each
+    # pair's product is still computed alone, whatever the batch around it
+    return np.vecdot(a[..., None, :], (b @ _QMUL_TERMS).reshape(b.shape[:-1] + (4, 4)))
+
+
+def quat_mul(a, b) -> np.ndarray:
+    """Hamilton product a * b, renormalized to unit length."""
+    out = quat_product(a, b)
+    return out / np.sqrt(np.vecdot(out, out))[..., None]
 
 
 def quat_conjugate(q) -> np.ndarray:
@@ -148,13 +155,18 @@ def exp_so3(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     theta2 = np.add.reduce(v * v, axis=-1)
     theta = np.sqrt(theta2)
-    small = theta < _EXP_TAYLOR_EPS
-    # a = sin(t)/t and b = (1-cos(t))/t^2 with second-order Taylor fallback
-    safe = np.where(small, 1.0, theta)
-    a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
-    b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
+    # a = sin(t)/t and b = (1-cos(t))/t^2 with second-order Taylor fallback,
+    # whose np.where runs only when some row needs it; the other rows' bits agree
+    if theta.min(initial=np.inf) < _EXP_TAYLOR_EPS:
+        small = theta < _EXP_TAYLOR_EPS
+        safe = np.where(small, 1.0, theta)
+        a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
+        b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
+    else:
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / (theta * theta)
     k = (v @ _HAT).reshape(v.shape[:-1] + (3, 3))
-    return np.eye(3) + a[..., None, None] * k + b[..., None, None] * (k @ k)
+    return _EYE3 + a[..., None, None] * k + b[..., None, None] * (k @ k)
 
 
 def nearest_rotation(m) -> np.ndarray:
@@ -193,6 +205,9 @@ def log_so3(m) -> np.ndarray:
     theta = np.arccos(np.minimum(np.maximum((tr - 1.0) / 2.0, -1.0), 1.0))
     # antisymmetric part, = sin(theta) * axis
     a = m.reshape(m.shape[:-2] + (9,)) @ _VEE
+    if not (theta.min(initial=np.inf) < 1e-4 or theta.max(initial=0.0) > np.pi - _LOG_PI_EPS):
+        # no row needs a fix-up; the generic rows' bits match the path below
+        return a * (theta / np.sin(theta))[..., None]
     small = theta < 1e-4
     near_pi = theta > np.pi - _LOG_PI_EPS
     theta2 = theta * theta

@@ -135,6 +135,65 @@ class TestMrpLossAndGrad:
         assert abs(loss - np.dot(psi_i, psi_i)) < 1e-9
 
 
+def unproject_reference(psi_i, psi_j, q_ij):
+    """The mrp pair losses by the unproject path: unproject psi_j, take the
+    unit target q_i_j x phi^-1(psi_j) and project both antipodes; returns the
+    (plus, minus) candidate losses and gradients, inf inside the guard band."""
+    target = rotmath.quat_mul(q_ij, rotmath.mrp_unproject(psi_j))
+    losses, grads = [], []
+    for s in (1.0, -1.0):
+        w, v = s * target[..., 0], s * target[..., 1:]
+        ok = w > -1.0 + rotmath.SOUTH_POLE_TOL
+        d = psi_i - v / np.where(ok, 1.0 + w, 1.0)[..., None]
+        losses.append(np.where(ok, np.sum(d * d, axis=-1), np.inf))
+        grads.append(d)
+    return losses, grads
+
+
+class TestMrpAgainstUnprojectReference:
+    """The kernel projects t = q_i_j x (1 - |psi_j|^2, 2 psi_j) without
+    normalizing it; that changes only round-off against the reference."""
+
+    def check(self, psi_i, psi_j, q_ij):
+        loss, grad, sign = mrp_loss_and_grad(psi_i, psi_j, q_ij)
+        (lp, lm), (gp, gm) = unproject_reference(psi_i, psi_j, q_ij)
+        plus = lp < lm
+        want_loss = np.where(plus, lp, lm)
+        want_grad = np.where(plus[..., None], gp, gm)
+        assert np.all(np.isfinite(loss))
+        assert_allclose(loss, want_loss, rtol=1e-12, atol=0.0)
+        err = np.linalg.norm(grad - want_grad, axis=-1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want_grad, axis=-1))
+        clear = np.abs(lp - lm) > 1e-9 * np.minimum(lp, lm)
+        assert np.array_equal(np.where(plus, 1, -1)[clear], np.asarray(sign)[clear])
+        return np.count_nonzero(clear)
+
+    def test_random_batched_and_unbatched(self, rng):
+        n = 2000
+        psi_i = rng.normal(scale=1.2, size=(n, 3))
+        psi_j = rng.normal(scale=1.2, size=(n, 3))
+        q_ij = random_quats(rng, n)
+        assert self.check(psi_i, psi_j, q_ij) > n - 5
+        for k in range(50):
+            self.check(psi_i[k], psi_j[k], q_ij[k])
+
+    def test_targets_at_the_south_pole_guard_band(self, rng):
+        # unit targets with 1 + w within 1e-6 of the band edge SOUTH_POLE_TOL,
+        # for either antipode; q_ij is solved from the target and psi_j
+        n = 400
+        psi_i = rng.normal(scale=1.2, size=(n, 3))
+        psi_j = rng.normal(scale=1.2, size=(n, 3))
+        gap = rotmath.SOUTH_POLE_TOL + rng.uniform(-1e-6, 1e-6, n)
+        w = -1.0 + np.maximum(gap, 0.0)
+        axis = random_unit_vectors(rng, n)
+        target = np.concatenate([w[:, None], np.sqrt(1.0 - w * w)[:, None] * axis], axis=1)
+        target *= np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]
+        q_ij = rotmath.quat_mul(target, rotmath.quat_conjugate(rotmath.mrp_unproject(psi_j)))
+        self.check(psi_i, psi_j, q_ij)
+        for k in range(20):
+            self.check(psi_i[k], psi_j[k], q_ij[k])
+
+
 class TestMrpStep:
     def test_no_change_at_target(self, rng):
         env = two_node_env(rng)
@@ -457,6 +516,14 @@ class TestExpectedUpdate:
         est = EstimateSet.identity(env.n_nodes, "mrp")
         with pytest.raises(ValueError):
             expected_update(est, env, 0, "bogus")
+
+    @pytest.mark.parametrize("i", [-1, 12])
+    def test_node_outside_the_graph_is_value_error(self, i):
+        # i = -1 once averaged an empty neighbor slice to nan, and i = N raised IndexError
+        env = small_env()
+        est = EstimateSet.identity(env.n_nodes, "mrp")
+        with pytest.raises(ValueError, match=rf"i = {i} .* N = 12"):
+            expected_update(est, env, i, "mrp")
 
 
 class TestRunAveraging:

@@ -109,6 +109,22 @@ class TestExpLog:
         m = rotmath.exp_so3(v)
         assert_allclose(rotmath.log_so3(m), v, atol=1e-18)
 
+    # exp and log skip their fix-ups when no row needs them; one row that does
+    # sends the batch down the full path, and the other rows keep their bits
+    def test_exp_generic_rows_equal_with_a_zero_row(self, rng):
+        v = random_unit_vectors(rng, 50) * rng.uniform(0.0, np.pi, 50)[:, None]
+        with_zero = rotmath.exp_so3(np.concatenate([v, np.zeros((1, 3))]))
+        assert np.array_equal(with_zero[:-1], rotmath.exp_so3(v))
+        assert np.array_equal(with_zero[-1], np.eye(3))
+
+    @pytest.mark.parametrize("angle", [1e-6, np.pi - 1e-6])
+    def test_log_generic_rows_equal_with_an_edge_row(self, rng, angle):
+        mats = random_matrices(rng, 50)
+        edge = rotmath.exp_so3(random_unit_vectors(rng) * angle)
+        with_edge = rotmath.log_so3(np.concatenate([mats, edge[None]]))
+        assert np.array_equal(with_edge[:-1], rotmath.log_so3(mats))
+        assert abs(np.linalg.norm(with_edge[-1]) - angle) < 1e-9
+
 
 class TestGeodesicDistance:
     def test_self_distance_zero(self, rng):
