@@ -145,17 +145,12 @@ class EstimateSet:
         canon = quats * np.where(quats[:, :1] < 0.0, -1.0, 1.0)
         return cls(parameterization, rotmath.mrp_project(canon))
 
-    def to_quaternions(self) -> np.ndarray:
-        if self.parameterization == "so3_matrix":
-            return rotmath.matrix_to_quat(self.values)
-        if self.parameterization == "quaternion":
-            return rotmath.quat_normalize(self.values)
-        return rotmath.mrp_unproject(self.values)
-
     def to_matrices(self) -> np.ndarray:
         if self.parameterization == "so3_matrix":
             return self.values.copy()
-        return rotmath.quat_to_matrix(self.to_quaternions())
+        if self.parameterization == "quaternion":
+            return rotmath.quat_to_matrix(rotmath.quat_normalize(self.values))
+        return rotmath.quat_to_matrix(rotmath.mrp_unproject(self.values))
 
 
 def _so3_pair_grads(r_i, r_j, rel):

@@ -252,100 +252,57 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def aggregate_rows(rows, max_iters: int):
-    """Per-algorithm aggregate statistics from summary rows.
+def aggregate_table(rows, max_iters: int):
+    """The aggregate table's header and its string cells, one row per algorithm.
 
-    Pure function of the rows, so the aggregate files can be recomputed
-    offline from summary.csv.  The steps mean counts never-converged runs
-    at the full budget (censored mean); the max renders as NotConverged
-    when any run failed to cross the threshold; the min is over converged
-    runs.  Convergence is undefined without ground truth, so the
-    convergence and steps statistics are over the runs that have it
-    (``conv_pct`` is empty when none does).  Returns (milestones,
-    per-algorithm dicts).
+    Pure function of the summary rows, so the aggregate files can be
+    recomputed offline from summary.csv.  Convergence is undefined without
+    ground truth, so the conv% and steps cells are over the runs that have
+    it, and empty when none does.  steps_mean counts a run that did not
+    converge at the full budget (censored mean); steps_max reads
+    NotConverged when any run did not converge, steps_min when none did.
     """
     milestones = sorted({max(1, round(f * max_iters)) for f in MILESTONE_FRACTIONS})
+    header = ["algorithm", "runs", *(f"conv%@{m}" for m in milestones), "steps_mean",
+              "steps_max", "steps_min", "nauc_mean", "nauc_max", "nauc_min",
+              "final_mean_deg", "final_median_deg"]
+
+    def cells(values, *stats):
+        return [f"{float(stat(values)):.4g}" if values else "" for stat in stats]
+
     order = [t for t in ALGO_TOKENS if any(r.algorithm == t for r in rows)]
     order += sorted({r.algorithm for r in rows} - set(order))
-    out = []
+    table = []
     for algo in order:
         algo_rows = [r for r in rows if r.algorithm == algo]
         truth_rows = [r for r in algo_rows if r.final_ape_mean_deg is not None]
-        steps = [r.steps_to_5deg for r in truth_rows if r.steps_to_5deg is not None]
-        censored = [
-            max_iters if r.steps_to_5deg is None else r.steps_to_5deg
-            for r in truth_rows
-        ]
-        conv = {m: 100.0 * sum(1 for s in steps if s <= m) / len(truth_rows)
-                for m in milestones} if truth_rows else {}
-        naucs = [r.nauc for r in algo_rows if r.nauc is not None]
-        finals = [r.final_ape_mean_deg for r in truth_rows]
-        out.append(
-            {
-                "algorithm": algo,
-                "runs": len(algo_rows),
-                "converged": len(steps),
-                "conv_pct": conv,
-                "steps_mean": float(np.mean(censored)) if censored else None,
-                "steps_max": max(steps) if len(steps) == len(truth_rows) and steps else None,
-                "steps_min": min(steps) if steps else None,
-                "nauc_mean": float(np.mean(naucs)) if naucs else None,
-                "nauc_max": float(np.max(naucs)) if naucs else None,
-                "nauc_min": float(np.min(naucs)) if naucs else None,
-                "final_mean_deg": float(np.mean(finals)) if finals else None,
-                "final_median_deg": float(np.median(finals)) if finals else None,
-            }
-        )
-    return milestones, out
-
-
-def _fmt_cell(value, kind="f"):
-    if value is None:
-        return envio.NOT_CONVERGED if kind == "steps" else ""
-    if kind == "steps":
-        return str(int(value))
-    return f"{value:.4g}"
-
-
-# aggregate columns after the milestones, each an aggregate_rows key
-_AGG_COLUMNS = ("steps_mean", "steps_max", "steps_min", "nauc_mean", "nauc_max", "nauc_min",
-                "final_mean_deg", "final_median_deg")
-
-
-def render_aggregate(milestones, stats, max_iters: int):
-    """Human-readable and CSV forms of the aggregate table."""
-    headers = ["algorithm", "runs", *(f"conv%@{m}" for m in milestones), *_AGG_COLUMNS]
-    table = []
-    for s in stats:
-        # no run with ground truth: convergence cells are empty, not NotConverged
-        defined = bool(s["conv_pct"])
-        table.append(
-            [s["algorithm"], str(s["runs"])]
-            + [f"{s['conv_pct'][m]:.0f}%" if defined else "" for m in milestones]
-            + [_fmt_cell(s[key], "steps" if defined and key in ("steps_max", "steps_min")
-                         else "f")
-               for key in _AGG_COLUMNS]
-        )
-    widths = [
-        max(len(headers[c]), *(len(row[c]) for row in table)) if table else len(headers[c])
-        for c in range(len(headers))
-    ]
-    lines = [f"# aggregate over {sum(s['runs'] for s in stats)} runs, "
-             f"budget {max_iters} steps"]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    for row in table:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    text = "\n".join(lines) + "\n"
-    # the CSV's conv% cells drop their "%"; the algorithm name is kept whole
-    csv_rows = [[row[0], *(cell.rstrip("%") for cell in row[1:])] for row in table]
-    return text, envio.csv_text(headers, csv_rows)
+        truth_steps = [r.steps_to_5deg for r in truth_rows]
+        steps = [s for s in truth_steps if s is not None]
+        conv, extremes = [""] * len(milestones), ["", ""]  # no ground truth, no convergence
+        if truth_rows:
+            conv = [f"{100.0 * sum(s <= m for s in steps) / len(truth_rows):.0f}%"
+                    for m in milestones]
+            extremes = [str(max(steps)) if len(steps) == len(truth_rows) else envio.NOT_CONVERGED,
+                        str(min(steps)) if steps else envio.NOT_CONVERGED]
+        table.append([algo, str(len(algo_rows)), *conv,
+                      *cells([max_iters if s is None else s for s in truth_steps], np.mean),
+                      *extremes, *cells([r.nauc for r in algo_rows if r.nauc is not None],
+                                        np.mean, np.max, np.min),
+                      *cells([r.final_ape_mean_deg for r in truth_rows], np.mean, np.median)])
+    return header, table
 
 
 def _write_aggregate(rows, max_iters, out_dir) -> None:
-    milestones, stats = aggregate_rows(rows, max_iters)
-    text, csv_text = render_aggregate(milestones, stats, max_iters)
+    """Write the aggregate table as fixed-width aggregate.txt and aggregate.csv; print the text."""
+    header, table = aggregate_table(rows, max_iters)
+    widths = [max(map(len, column)) for column in zip(header, *table)]
+    lines = [f"# aggregate over {len(rows)} runs, budget {max_iters} steps"]
+    lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in [header, *table]]
+    text = "\n".join(lines) + "\n"
     envio.write_text(Path(out_dir) / "aggregate.txt", text)
-    envio.write_text(Path(out_dir) / "aggregate.csv", csv_text)
+    # the CSV's conv% cells drop their "%"; the algorithm name is kept whole
+    csv_rows = [[row[0], *(cell.rstrip("%") for cell in row[1:])] for row in table]
+    envio.write_text(Path(out_dir) / "aggregate.csv", envio.csv_text(header, csv_rows))
     print(text, end="")
 
 

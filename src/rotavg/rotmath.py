@@ -269,10 +269,4 @@ def sample_uniform_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 4) Haar-uniform unit quaternions: normalized 4D Gaussian draws.
     Deterministic given the generator state."""
     g = rng.standard_normal((n, 4))
-    norm = np.linalg.norm(g, axis=-1, keepdims=True)
-    # a zero draw has probability zero but would poison the normalization
-    while np.any(norm == 0.0):
-        bad = np.nonzero(norm[..., 0] == 0.0)
-        g[bad] = rng.standard_normal(g[bad].shape)
-        norm = np.linalg.norm(g, axis=-1, keepdims=True)
-    return g / norm
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)

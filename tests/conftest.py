@@ -90,4 +90,6 @@ def build_critical_env(omega0, theta0: float, r0, ground_truth, n_nodes: int = 3
 
 def reparameterized(estimates: EstimateSet, parameterization: str) -> EstimateSet:
     """The same rotations as ``estimates`` in another parameterization."""
-    return EstimateSet.from_quaternions(estimates.to_quaternions(), parameterization)
+    to_quaternions = {"so3_matrix": rotmath.matrix_to_quat, "quaternion": rotmath.quat_normalize,
+                      "mrp": rotmath.mrp_unproject}[estimates.parameterization]
+    return EstimateSet.from_quaternions(to_quaternions(estimates.values), parameterization)

@@ -18,8 +18,7 @@ from rotavg import io as envio
 from rotavg import rotmath
 from rotavg.averaging import EstimateSet, OptimizerConfig
 from rotavg.cli import (ALGO_TOKENS, _GEN_KEYS, _RUN_PARAMS, _build_config,
-                        _parse_gen_spec, _parse_seeds, aggregate_rows, build_parser, main,
-                        render_aggregate)
+                        _parse_gen_spec, _parse_seeds, aggregate_table, build_parser, main)
 from rotavg.envgraph import GeneratorConfig
 from conftest import random_quats
 
@@ -220,10 +219,11 @@ class TestBench:
         assert rc == 0
         rows = envio.load_summary(out / "summary.csv")
         assert len(rows) == 1
-        milestones, stats = aggregate_rows(rows, 300)
-        assert stats[0]["runs"] == 1
+        header, [cells] = aggregate_table(rows, 300)
+        cell = dict(zip(header, cells))
+        assert cell["runs"] == "1"
         if rows[0].steps_to_5deg is not None:
-            assert stats[0]["steps_mean"] == rows[0].steps_to_5deg
+            assert float(cell["steps_mean"]) == rows[0].steps_to_5deg
 
     def test_parallel_jobs_same_summary(self, tmp_path):
         outs = []
@@ -608,27 +608,30 @@ class TestAggregateLogic:
             "env", algo, seed, 10.0, steps, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0
         )
 
+    def table(self, rows, max_iters):
+        """aggregate_table's rows as {column: cell} dicts."""
+        header, table = aggregate_table(rows, max_iters)
+        return [dict(zip(header, cells)) for cells in table]
+
     def test_milestones_scale_with_budget(self):
-        milestones, _ = aggregate_rows([self.row("mrp", 0, 1000)], 300_000)
-        assert milestones == [30_000, 70_000, 100_000, 150_000, 300_000]
-        milestones, _ = aggregate_rows([self.row("mrp", 0, 10)], 3000)
-        assert milestones == [300, 700, 1000, 1500, 3000]
+        for max_iters, milestones in ((300_000, [30_000, 70_000, 100_000, 150_000, 300_000]),
+                                      (3000, [300, 700, 1000, 1500, 3000])):
+            [cells] = self.table([self.row("mrp", 0, 10)], max_iters)
+            assert [c for c in cells if c.startswith("conv%@")] == \
+                [f"conv%@{m}" for m in milestones]
 
     def test_threshold_semantics_at_milestones(self):
         # converged at 80K: not yet at the 70K column, done by 100K
-        _, stats = aggregate_rows([self.row("mrp", 0, 80_000)], 300_000)
-        conv = stats[0]["conv_pct"]
-        assert conv[70_000] == 0.0
-        assert conv[100_000] == 100.0
+        [cells] = self.table([self.row("mrp", 0, 80_000)], 300_000)
+        assert cells["conv%@70000"] == "0%"
+        assert cells["conv%@100000"] == "100%"
 
     def test_not_converged_propagates(self):
         rows = [self.row("so3", 0, 50_000), self.row("so3", 1, None)]
-        _, stats = aggregate_rows(rows, 300_000)
-        s = stats[0]
-        assert s["converged"] == 1
-        assert s["steps_max"] is None  # rendered as the NotConverged token
-        text, csv_text = render_aggregate(*aggregate_rows(rows, 300_000), 300_000)
-        assert envio.NOT_CONVERGED in text and envio.NOT_CONVERGED in csv_text
+        [cells] = self.table(rows, 300_000)
+        assert cells["conv%@300000"] == "50%"  # one converged run of two
+        assert cells["steps_max"] == envio.NOT_CONVERGED
+        assert cells["steps_min"] == "50000"
 
 
 class TestAggregateCsv:
@@ -654,6 +657,85 @@ class TestAggregateCsv:
         conv = [c for h, c in zip(header, cells) if h.startswith("conv%@")]
         assert cells[0] == "mrp%" and conv == ["100"] * 5
         assert (tmp_path / "aggregate.txt").read_text().splitlines()[2].startswith("mrp%  ")
+
+
+class TestAggregateGolden:
+    """Both aggregate files and the printed table, byte for byte, from a fixed
+    summary: all runs converged (mrp), one run not converged (so3), no ground
+    truth (quat), an empty nauc under a name that needs CSV quoting, and no run
+    converged (b)."""
+
+    SUMMARY = (
+        ",".join(envio.SUMMARY_COLUMNS) + "\n"
+        "e,mrp,0,0.125,3,1.5,1.25,2.5,2.25,1.75,1.5\n"
+        "e,mrp,1,0.375,120,0.5,0.25,1.5,1.25,0.75,0.5\n"
+        "e,so3,0,0.5,50,3.25,3,4.5,4,3.5,3.25\n"
+        "e,so3,1,2.75,NotConverged,12.5,11,14,13.5,12.75,12\n"
+        "e,quat,0,,,,,6.5,6.25,,\n"
+        "e,quat,1,,,,,7.5,7.25,,\n"
+        'e,"a,b ""x""%",0,,6,2,2,3,3,2,2\n'
+        "e,b,0,3.5,NotConverged,20,20,21,21,20,20\n"
+    )
+    EXPECTED = {
+        400: (
+            "# aggregate over 8 runs, budget 400 steps\n"
+            "algorithm  runs  conv%@40  conv%@93  conv%@133  conv%@200  conv%@400  steps_mean  "
+            "steps_max     steps_min     nauc_mean  nauc_max  nauc_min  final_mean_deg  "
+            "final_median_deg\n"
+            "so3        2     0%        50%       50%        50%        50%        225         "
+            "NotConverged  50            1.625      2.75      0.5       7.875           "
+            "7.875           \n"
+            "quat       2" + " " * 161 + "\n"
+            "mrp        2     50%       50%       100%       100%       100%       61.5        "
+            "120           3             0.25       0.375     0.125     1               "
+            "1               \n"
+            'a,b "x"%   1     100%      100%      100%       100%       100%       6           '
+            "6             6                                            2               "
+            "2               \n"
+            "b          1     0%        0%        0%         0%         0%         400         "
+            "NotConverged  NotConverged  3.5        3.5       3.5       20              "
+            "20              \n",
+            "algorithm,runs,conv%@40,conv%@93,conv%@133,conv%@200,conv%@400,steps_mean,"
+            "steps_max,steps_min,nauc_mean,nauc_max,nauc_min,final_mean_deg,final_median_deg\n"
+            "so3,2,0,50,50,50,50,225,NotConverged,50,1.625,2.75,0.5,7.875,7.875\n"
+            "quat,2,,,,,,,,,,,,,\n"
+            "mrp,2,50,50,100,100,100,61.5,120,3,0.25,0.375,0.125,1,1\n"
+            '"a,b ""x""%",1,100,100,100,100,100,6,6,6,,,,2,2\n'
+            "b,1,0,0,0,0,0,400,NotConverged,NotConverged,3.5,3.5,3.5,20,20\n",
+        ),
+        # milestones fold to 1, 2, 4 and 7
+        7: (
+            "# aggregate over 8 runs, budget 7 steps\n"
+            "algorithm  runs  conv%@1  conv%@2  conv%@4  conv%@7  steps_mean  steps_max     "
+            "steps_min     nauc_mean  nauc_max  nauc_min  final_mean_deg  final_median_deg\n"
+            "so3        2     0%       0%       0%       0%       28.5        NotConverged  "
+            "50            1.625      2.75      0.5       7.875           7.875           \n"
+            "quat       2" + " " * 144 + "\n"
+            "mrp        2     0%       0%       50%      50%      61.5        120           "
+            "3             0.25       0.375     0.125     1               1               \n"
+            'a,b "x"%   1     0%       0%       0%       100%     6           6             '
+            "6                                            2               2               \n"
+            "b          1     0%       0%       0%       0%       7           NotConverged  "
+            "NotConverged  3.5        3.5       3.5       20              20              \n",
+            "algorithm,runs,conv%@1,conv%@2,conv%@4,conv%@7,steps_mean,steps_max,steps_min,"
+            "nauc_mean,nauc_max,nauc_min,final_mean_deg,final_median_deg\n"
+            "so3,2,0,0,0,0,28.5,NotConverged,50,1.625,2.75,0.5,7.875,7.875\n"
+            "quat,2,,,,,,,,,,,,\n"
+            "mrp,2,0,0,50,50,61.5,120,3,0.25,0.375,0.125,1,1\n"
+            '"a,b ""x""%",1,0,0,0,100,6,6,6,,,,2,2\n'
+            "b,1,0,0,0,0,7,NotConverged,NotConverged,3.5,3.5,3.5,20,20\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("iters", [400, 7])
+    def test_files_and_stdout_match_the_golden_bytes(self, tmp_path, capsys, iters):
+        (tmp_path / "summary.csv").write_bytes(self.SUMMARY.encode())
+        assert run_cli("aggregate", "--summary", tmp_path / "summary.csv", "--iters", iters,
+                       "--out", tmp_path / "out") == 0
+        text, csv_text = self.EXPECTED[iters]
+        assert (tmp_path / "out" / "aggregate.txt").read_bytes() == text.encode()
+        assert (tmp_path / "out" / "aggregate.csv").read_bytes() == csv_text.encode()
+        assert capsys.readouterr().out == text
 
 
 class TestImportEval:

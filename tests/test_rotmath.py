@@ -104,6 +104,18 @@ class TestExpLog:
         back = rotmath.log_so3(rotmath.exp_so3(v))
         assert np.max(np.linalg.norm(back - v, axis=-1)) < 1e-6
 
+    def test_log_exact_half_turn_picks_the_positive_sign(self):
+        # a half turn about (1, -1, 1)/sqrt(3) has an antisymmetric part of exactly 0,
+        # so either axis sign is valid; the tie-break flips the axis the symmetric part
+        # gives, making the component largest in magnitude positive
+        a = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
+        m = 2.0 * np.outer(a, a) - np.eye(3)
+        assert np.array_equal(m, m.T)
+        r = rotmath.log_so3(m)
+        assert abs(np.linalg.norm(r) - np.pi) < 1e-7
+        assert np.max(np.abs(rotmath.exp_so3(r) - m)) < 1e-7
+        assert r[np.argmax(np.abs(r))] > 0.0
+
     def test_exp_small_angle(self):
         v = np.array([1e-10, -2e-10, 5e-11])
         m = rotmath.exp_so3(v)
