@@ -156,7 +156,7 @@ class EstimateSet:
 def _so3_pair_grads(r_i, r_j, rel):
     """Per-pair so3 loss |r|^2 and displacement r = log(R_i^T R(q_i_j) R_j),
     the tangent vector at R_i toward the pair target."""
-    r = rotmath.log_so3(np.swapaxes(r_i, -1, -2) @ rel @ r_j)
+    r = rotmath.log_so3(r_i.mT @ rel @ r_j)
     return np.vecdot(r, r), r, None
 
 
@@ -175,24 +175,24 @@ def _mrp_pair_grads(psi_i, psi_j, q_ij):
     (1 - |psi_j|^2, 2 psi_j) / r with r = 1 + |psi_j|^2, a unit quaternion
     since (1 - |psi_j|^2)^2 + 4 |psi_j|^2 = r^2.  So the step builds the
     unnormalized t = q_i_j x (1 - |psi_j|^2, 2 psi_j), of norm r, and
-    projects both antipodes +-t / r as phi(+-t / r) = +-t_v / (r +- t_w),
-    with no unprojection and no renormalization.  It keeps the candidate
-    nearer to psi_i; an antipode inside the south-pole guard band,
-    +-t_w <= (-1 + SOUTH_POLE_TOL) r, is never selected.  Returns
-    (loss, grad, sign) where grad = psi_i - phi(sign * t / r); the constant
-    factor 2 of the true gradient is folded into the learning rate.
+    projects the antipode s t / r, s = +-1, as phi(s t / r) = s t_v / (r + s t_w),
+    with no unprojection and no renormalization.  It keeps the antipode
+    nearer to psi_i, in closed form: for p = t_v / (r + t_w), the - antipode
+    projects to -p / |p|^2, and |psi_i - p|^2 < |psi_i + p / |p|^2|^2 reduces to
+    |p|^2 - 1 < 2 <psi_i, p>; as |p|^2 - 1 = -2 t_w / (r + t_w), s = + exactly
+    where t_w + <psi_i, t_v> > 0.  An antipode inside the south-pole guard band,
+    s t_w <= (-1 + SOUTH_POLE_TOL) r, is never selected; at most one lies in
+    it.  Returns (loss, grad, s) where grad = psi_i - phi(s t / r); the
+    constant factor 2 of the true gradient is folded into the learning rate.
     """
     n2 = np.vecdot(psi_j, psi_j)
     r = 1.0 + n2
     t = rotmath.quat_product(q_ij, np.concatenate([(1.0 - n2)[..., None], 2.0 * psi_j], axis=-1))
-    both = np.array([t, -t])  # the target and its antipode, each of norm r
-    w = both[..., 0]
-    ok = w > (-1.0 + rotmath.SOUTH_POLE_TOL) * r
-    d = psi_i - both[..., 1:] / np.where(ok, r + w, 1.0)[..., None]
-    loss = np.where(ok, np.vecdot(d, d), np.inf)
-    use_plus = loss[0] < loss[1]
-    return (np.where(use_plus, loss[0], loss[1]), np.where(use_plus[..., None], d[0], d[1]),
-            np.where(use_plus, 1, -1))
+    t_w, t_v = t[..., 0], t[..., 1:]
+    s = np.where(t_w + np.vecdot(psi_i, t_v) > 0.0, 1.0, -1.0)
+    s = np.where(s * t_w > (-1.0 + rotmath.SOUTH_POLE_TOL) * r, s, -s)
+    d = psi_i - (s[..., None] * t_v) / (r + s * t_w)[..., None]
+    return np.vecdot(d, d), d, s
 
 
 def _join(arrays):
@@ -265,37 +265,42 @@ def _draw(env, u, bounds, starts):
     return idx, env.nbr_ids[sel] + starts, sel
 
 
-def _batches(graph, rngs, steps):
-    """Yield the joint batches of ``steps`` steps, drawn _BLOCK at a time.
-    A member-step takes 2b doubles of its run stream, as a direct step call
-    does; random fills row by row, so no batch depends on the block size."""
+def _batches(graph, rngs, steps, targets):
+    """Yield the joint batches of ``steps`` steps, drawn _BLOCK at a time,
+    each as (its nodes then their neighbors, the pairs' rows of ``targets``);
+    a block gathers its targets at once.  A member-step takes 2b doubles of
+    its run stream, as a direct step call does; random fills row by row, so
+    no batch depends on the block size."""
     b = graph.bounds.shape[-1]
     for done in range(0, steps, _BLOCK):
         k = min(_BLOCK, steps - done)
         u = _join([g.random((1, k, 2 * b)) for g in rngs])
-        block = _draw(graph, u, graph.bounds, graph.starts)
-        yield from zip(*(a.swapaxes(0, 1).reshape(k, -1) for a in block))
+        idx, j, sel = (a.swapaxes(0, 1).reshape(k, -1)
+                       for a in _draw(graph, u, graph.bounds, graph.starts))
+        yield from zip(np.concatenate([idx, j], axis=1), targets[sel])
 
 
-def _so3_apply(r_i, r_delta, cfg):
-    """Move along the mean-reduced displacement: R_i expm(gamma / b * r)."""
-    applied = (cfg.gamma / cfg.batch_size) * r_delta
-    return r_i @ rotmath.exp_so3(applied), applied
+def _so3_apply(r_i, r_delta, cfg, loss):
+    """Move along the mean-reduced displacement: R_i expm(gamma / b * r),
+    an angle of gamma / b * |r|, where |r|^2 is the pair loss."""
+    rate = cfg.gamma / cfg.batch_size
+    applied = rate * r_delta
+    return r_i @ rotmath.exp_so3(applied, rate * np.sqrt(loss)), applied
 
 
-def _quaternion_apply(q_i, grad, cfg):
+def _quaternion_apply(q_i, grad, cfg, loss):
     """Mean-reduced descent step in R^4, then renormalization."""
     applied = (-cfg.gamma / cfg.batch_size) * grad
     return rotmath.quat_normalize(q_i + applied), applied
 
 
-def _mrp_apply(psi_i, grad, cfg):
+def _mrp_apply(psi_i, grad, cfg, loss):
     """The per-sample rule at full strength: each pair gradient is clamped
     to norm eta, then scaled by gamma, so the applied step never exceeds
     gamma * eta regardless of batch size.  The clamp is what keeps steps
     sane where the projection distorts scale, and its calibration is tied
-    to the per-sample rate."""
-    scale = cfg.eta / np.maximum(np.sqrt(np.vecdot(grad, grad)), cfg.eta)
+    to the per-sample rate.  The pair loss is |grad|^2."""
+    scale = cfg.eta / np.maximum(np.sqrt(loss), cfg.eta)
     applied = (-cfg.gamma) * scale[:, None] * grad
     return psi_i + applied, applied
 
@@ -305,7 +310,7 @@ class Algorithm:
     """What sets one update rule apart: the parameterization it steps in,
     the neighbor array its pair targets come from, its per-pair
     ``(loss, grad, antipodes or None)`` and its apply rule
-    ``(x_i, grad, cfg) -> (new x_i, applied update)``."""
+    ``(x_i, grad, cfg, loss) -> (new x_i, applied update)``."""
 
     parameterization: str
     targets: str
@@ -334,16 +339,22 @@ def _step(name: str, estimates: EstimateSet, env, cfg: OptimizerConfig, rng) -> 
     """One synchronous batch update of algorithm ``name``: every sampled
     pair's gradient comes from the pre-step values, then all apply.
     ``rng`` is a Generator to draw the batch from, or the ensemble loop's
-    iterator of drawn batches."""
+    iterator of drawn batches, as ``_batches`` yields them."""
     algo = _rule(name, estimates)
-    b = cfg.batch_size
-    idx, j, sel = (_draw(env, rng.random(2 * b), _floyd_bounds(env.n_nodes, b), 0)
-                   if isinstance(rng, np.random.Generator) else next(rng))
-    x = estimates.values
-    x_i = x[idx]
-    loss, grad, antipodes = algo.pair_grads(x_i, x[j], getattr(env, algo.targets)[sel])
-    x[idx], applied = algo.apply(x_i, grad, cfg)
-    return StepReport(idx, j, loss, applied, antipodes)
+    if isinstance(rng, np.random.Generator):
+        b = cfg.batch_size
+        idx, j, sel = _draw(env, rng.random(2 * b), _floyd_bounds(env.n_nodes, b), 0)
+        ids, targets = np.concatenate([idx, j]), getattr(env, algo.targets)[sel]
+    else:
+        ids, targets = next(rng)
+    n = ids.size // 2
+    nodes, x = ids[:n], estimates.values
+    # the nodes' values, then their neighbors'; on small batches take costs less than x[ids]
+    pairs = x.take(ids, axis=0)
+    x_i = pairs[:n]
+    loss, grad, antipodes = algo.pair_grads(x_i, pairs[n:], targets)
+    x[nodes], applied = algo.apply(x_i, grad, cfg, loss)
+    return StepReport(nodes, ids[n:], loss, applied, antipodes)
 
 
 # _step bound to each table row, the one step API; the loop calls steps through this dict
@@ -405,7 +416,8 @@ def run_averaging(env, cfg):
     joint = EstimateSet(members[0].parameterization, np.concatenate([m.values for m in members]))
     for m, start in zip(members, graph.starts.ravel()):  # each member's slice of the joint
         m.values = joint.values[start:start + m.n_nodes]
-    batches = _batches(graph, rngs, base.max_iters)
+    batches = _batches(graph, rngs, base.max_iters,
+                       getattr(graph, ALGORITHM_TABLE[base.algorithm].targets))
 
     step_fn = STEP_FUNCTIONS[base.algorithm]
     traces = [[metrics.evaluate(m, env, 0)] for m, env in zip(members, envs)]

@@ -399,6 +399,11 @@ def cmd_aggregate(args) -> int:
     if args.iters < 0:
         raise UsageError(f"--iters must be >= 0, got {args.iters}")
     rows = envio.load_summary(args.summary)
+    # conv% and steps_mean fold runs at the budget; a later step would contradict them
+    last = max((row.steps_to_5deg or 0 for row in rows), default=0)
+    if last > args.iters:
+        raise UsageError(f"--iters {args.iters} is below step {last}, "
+                         "the largest steps_to_5deg in the summary")
     os.makedirs(args.out, exist_ok=True)
     _write_aggregate(rows, args.iters, args.out)
     return EXIT_OK

@@ -34,24 +34,32 @@ _EXP_TAYLOR_EPS = 1e-8  # small-angle switch for exp_so3
 # Largest entry of m^T m - I from which two Newton-Schulz steps reach round-off
 _POLAR_TOL = 1e-4
 
-# Near-pi switch for log_so3.  arccos of a rounded trace cannot resolve
-# angles closer to pi than ~1.5e-8, and the antisymmetric-part formula
-# loses accuracy as 1/sin^2; the symmetric-part extraction is accurate to
-# ~2e-8 across this whole window.
-_LOG_PI_EPS = 1e-4
+# log_so3's generic rows have |cos theta| below this, i.e. theta more than
+# 1e-3 from 0 and from pi.  Nearer 0 the Taylor factor of theta / sin(theta)
+# is exact to double precision.  Nearer pi the antisymmetric-part formula,
+# which divides by sin(theta), loses digits as 1/sin^2: over 3,000 random axes
+# exp(log m) misses m by up to 2.8e-9 at pi - 1e-3 and 2.6e-7 at pi - 1.01e-4,
+# the symmetric-part extraction by 8.8e-13 and 8.3e-12.  The latter stays
+# the more accurate up to pi, where arccos of a rounded trace resolves
+# angles only to ~1.5e-8.
+_LOG_EDGE_COS = np.cos(1e-3)
 
 # Hamilton product: component k of a * b adds sign * a[m] * b[n] for m = 0..3;
 # b @ _QMUL_TERMS holds those signed b[n], (k, m) flattened.  One nonzero
-# per column makes that matmul exact, and so does it for _HAT and _VEE.
+# per column makes that matmul exact, and so does it for _HAT.
 _QMUL_TERMS = np.zeros((4, 16))
 _QMUL_TERMS[[0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0], np.arange(16)] = [
     1, -1, -1, -1, 1, 1, 1, -1, 1, -1, 1, 1, 1, 1, -1, 1]
-# v @ _HAT is the cross-product matrix of v, flattened; m.reshape(9) @ _VEE
-# is the vector of m's antisymmetric part.
+# v @ _HAT is the cross-product matrix of v, flattened.
 _HAT = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
                  [0, 0, 1, 0, 0, 0, -1, 0, 0],
                  [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
-_VEE = 0.5 * _HAT.T
+# m.reshape(9) @ _LOG_TERMS is the vector of m's antisymmetric part (two
+# halved entries per column, so exact), then tr(m) / 2, summed in the order
+# (m00 + m11) + m22, so that tr / 2 - 1/2 has the bits of (tr - 1) / 2.
+_LOG_TERMS = np.zeros((9, 4))
+_LOG_TERMS[:, :3] = 0.5 * _HAT.T
+_LOG_TERMS[[0, 4, 8], 3] = 0.5
 _EYE3 = np.eye(3)  # exp_so3 adds it to every batch; building it costs a numpy call
 
 
@@ -149,17 +157,19 @@ def matrix_to_quat(m) -> np.ndarray:
     return q * np.where(q[..., :1] < 0.0, -1.0, 1.0)
 
 
-def exp_so3(v) -> np.ndarray:
+def exp_so3(v, theta=None) -> np.ndarray:
     """Rodrigues formula: rotation vector to rotation matrix,
-    I + a K + b K^2 for K the cross-product matrix of v."""
+    I + a K + b K^2 for K the cross-product matrix of v.  A caller that
+    has the angles |v| already may pass them as ``theta``."""
     v = np.asarray(v, dtype=float)
-    theta2 = np.add.reduce(v * v, axis=-1)
-    theta = np.sqrt(theta2)
+    if theta is None:
+        theta = np.sqrt(np.add.reduce(v * v, axis=-1))
     # a = sin(t)/t and b = (1-cos(t))/t^2 with second-order Taylor fallback,
     # whose np.where runs only when some row needs it; the other rows' bits agree
     if theta.min(initial=np.inf) < _EXP_TAYLOR_EPS:
         small = theta < _EXP_TAYLOR_EPS
         safe = np.where(small, 1.0, theta)
+        theta2 = theta * theta
         a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
         b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
     else:
@@ -201,20 +211,21 @@ def log_so3(m) -> np.ndarray:
     and near zero a Taylor expansion of theta/sin(theta) is used.
     """
     m = np.asarray(m, dtype=float)
-    tr = m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2]
-    theta = np.arccos(np.minimum(np.maximum((tr - 1.0) / 2.0, -1.0), 1.0))
-    # antisymmetric part, = sin(theta) * axis
-    a = m.reshape(m.shape[:-2] + (9,)) @ _VEE
-    if not (theta.min(initial=np.inf) < 1e-4 or theta.max(initial=0.0) > np.pi - _LOG_PI_EPS):
-        # no row needs a fix-up; the generic rows' bits match the path below
+    terms = m.reshape(m.shape[:-2] + (9,)) @ _LOG_TERMS
+    a = terms[..., :3]  # antisymmetric part, = sin(theta) * axis
+    cos = terms[..., 3] - 0.5
+    mag = np.abs(cos)
+    if mag.max(initial=0.0) < _LOG_EDGE_COS:
+        # no row needs a fix-up, nor a clip; the generic rows' bits match the path below
+        theta = np.arccos(cos)
         return a * (theta / np.sin(theta))[..., None]
-    small = theta < 1e-4
-    near_pi = theta > np.pi - _LOG_PI_EPS
+    edge = mag >= _LOG_EDGE_COS
+    theta = np.arccos(np.minimum(np.maximum(cos, -1.0), 1.0))
     theta2 = theta * theta
-    sin_theta = np.sin(theta)
-    factor = np.where(small, 1.0 + theta2 * (1.0 / 6.0 + theta2 * (7.0 / 360.0)),
-                      theta / np.where(sin_theta < 1e-12, 1.0, sin_theta))
+    factor = np.where(edge, 1.0 + theta2 * (1.0 / 6.0 + theta2 * (7.0 / 360.0)),
+                      theta / np.sin(np.where(edge, 1.0, theta)))
     out = a * factor[..., None]
+    near_pi = edge & (cos < 0.0)
     if near_pi.any():
         flat = out.reshape(-1, 3)
         mats = m.reshape(-1, 3, 3)

@@ -18,6 +18,9 @@ from rotavg.averaging import (
 )
 from rotavg.envgraph import GeneratorConfig, RotationEnvironment, generate_uniform_env
 
+# a NaN from a zero divisor or an invalid comparison fails the test it happens in
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 mrp_loss_and_grad = ALGORITHM_TABLE["mrp"].pair_grads  # (loss, grad, antipode sign) of pairs
 target_quaternion = rotmath.quat_mul  # q_i_j x qhat_j: where node i sits relative to j
 
@@ -192,6 +195,51 @@ class TestMrpAgainstUnprojectReference:
         self.check(psi_i, psi_j, q_ij)
         for k in range(20):
             self.check(psi_i[k], psi_j[k], q_ij[k])
+
+
+def nearer_antipode(psi_i, psi_j, q_ij):
+    """The mrp kernel's antipode sign by comparing both candidates'
+    distances to psi_i, inf inside the guard band, as the kernel did before
+    it took the sign in closed form."""
+    n2 = np.vecdot(psi_j, psi_j)
+    r = 1.0 + n2
+    t = rotmath.quat_product(q_ij, np.concatenate([(1.0 - n2)[..., None], 2.0 * psi_j], axis=-1))
+    both = np.array([t, -t])
+    w = both[..., 0]
+    ok = w > (-1.0 + rotmath.SOUTH_POLE_TOL) * r
+    d = psi_i - both[..., 1:] / np.where(ok, r + w, 1.0)[..., None]
+    loss = np.where(ok, np.vecdot(d, d), np.inf)
+    return np.where(loss[0] < loss[1], 1, -1)
+
+
+class TestMrpClosedFormAntipode:
+    """The kernel keeps the + antipode exactly where t_w + <psi_i, t_v> > 0."""
+
+    def test_sign_equals_the_distance_comparison(self, rng):
+        n = 100_000
+        psi_i = random_unit_vectors(rng, n) * 10.0 ** rng.uniform(-1.0, 3.0, n)[:, None]
+        psi_j = rng.normal(scale=1.2, size=(n, 3))
+        q_ij = random_quats(rng, n)
+        _, _, sign = mrp_loss_and_grad(psi_i, psi_j, q_ij)
+        want = nearer_antipode(psi_i, psi_j, q_ij)
+        assert np.array_equal(sign, want)
+        assert 0 < np.count_nonzero(want == 1) < n
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_an_antipode_in_the_guard_band_is_never_selected(self, rng, side):
+        # target t = side * (-(1 - 1e-12), sqrt(2e-12) axis) r puts the antipode
+        # side * t inside the band; psi_i far out along side * t_v makes the
+        # closed form prefer it, so the guard must flip the choice
+        psi_j = rng.normal(scale=1.2, size=3)
+        axis = random_unit_vectors(rng)
+        w = -(1.0 - 1e-12)
+        target = side * np.concatenate([[w], np.sqrt(1.0 - w * w) * axis])
+        q_ij = rotmath.quat_mul(target, rotmath.quat_conjugate(rotmath.mrp_unproject(psi_j)))
+        psi_i = 1e7 * axis
+        loss, grad, sign = mrp_loss_and_grad(psi_i, psi_j, q_ij)
+        assert sign == -side
+        assert sign == nearer_antipode(psi_i, psi_j, q_ij)
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
 
 
 class TestMrpStep:
@@ -673,12 +721,14 @@ class TestBlockDraws:
 
     @staticmethod
     def draws(n, b, steps):
-        """Batches of two members on copies of one environment."""
+        """Batches of two members on copies of one environment; the targets
+        gathered are the neighbor slots themselves."""
         env = small_env(0, n=n)
         graph = _JoinedGraph([env, env], b)
         rngs = [np.random.default_rng(seed) for seed in (0, 1)]
-        batches = averaging._batches(graph, rngs, steps)
-        idx, j, sel = (np.array(a) for a in zip(*batches))
+        batches = averaging._batches(graph, rngs, steps, np.arange(graph.nbr_ids.size))
+        ids, sel = (np.array(a) for a in zip(*batches))
+        idx, j = np.split(ids, 2, axis=1)
         return env, idx.reshape(steps, 2, b), j.reshape(steps, 2, b), sel.reshape(steps, 2, b)
 
     @pytest.mark.parametrize("n, b", [(4, 4), (100, 8), (577, 64)])

@@ -523,7 +523,8 @@ class TestGridUsageErrors:
 
     def test_negative_aggregate_budget_is_usage_error(self, tmp_path, capsys):
         summary = tmp_path / "summary.csv"
-        envio.export_summary([envio.SummaryRow("env", "mrp", 0, 1.0, 10, *[1.0] * 6)], summary)
+        # a run that did not converge, so no step in it exceeds a budget of 0
+        envio.export_summary([envio.SummaryRow("env", "mrp", 0, 1.0, None, *[1.0] * 6)], summary)
         assert run_cli("aggregate", "--summary", summary, "--iters", -5,
                        "--out", tmp_path / "agg") == 1
         assert "--iters must be >= 0" in capsys.readouterr().err
@@ -663,19 +664,20 @@ class TestAggregateGolden:
     """Both aggregate files and the printed table, byte for byte, from a fixed
     summary: all runs converged (mrp), one run not converged (so3), no ground
     truth (quat), an empty nauc under a name that needs CSV quoting, and no run
-    converged (b)."""
+    converged (b).  Each budget has its own steps to 5 deg, all within it."""
 
     SUMMARY = (
         ",".join(envio.SUMMARY_COLUMNS) + "\n"
-        "e,mrp,0,0.125,3,1.5,1.25,2.5,2.25,1.75,1.5\n"
-        "e,mrp,1,0.375,120,0.5,0.25,1.5,1.25,0.75,0.5\n"
-        "e,so3,0,0.5,50,3.25,3,4.5,4,3.5,3.25\n"
+        "e,mrp,0,0.125,{0},1.5,1.25,2.5,2.25,1.75,1.5\n"
+        "e,mrp,1,0.375,{1},0.5,0.25,1.5,1.25,0.75,0.5\n"
+        "e,so3,0,0.5,{2},3.25,3,4.5,4,3.5,3.25\n"
         "e,so3,1,2.75,NotConverged,12.5,11,14,13.5,12.75,12\n"
         "e,quat,0,,,,,6.5,6.25,,\n"
         "e,quat,1,,,,,7.5,7.25,,\n"
-        'e,"a,b ""x""%",0,,6,2,2,3,3,2,2\n'
+        'e,"a,b ""x""%",0,,{3},2,2,3,3,2,2\n'
         "e,b,0,3.5,NotConverged,20,20,21,21,20,20\n"
     )
+    STEPS = {400: (3, 120, 50, 6), 7: (3, 6, 2, 7)}
     EXPECTED = {
         400: (
             "# aggregate over 8 runs, budget 400 steps\n"
@@ -708,34 +710,43 @@ class TestAggregateGolden:
             "# aggregate over 8 runs, budget 7 steps\n"
             "algorithm  runs  conv%@1  conv%@2  conv%@4  conv%@7  steps_mean  steps_max     "
             "steps_min     nauc_mean  nauc_max  nauc_min  final_mean_deg  final_median_deg\n"
-            "so3        2     0%       0%       0%       0%       28.5        NotConverged  "
-            "50            1.625      2.75      0.5       7.875           7.875           \n"
+            "so3        2     0%       50%      50%      50%      4.5         NotConverged  "
+            "2             1.625      2.75      0.5       7.875           7.875           \n"
             "quat       2" + " " * 144 + "\n"
-            "mrp        2     0%       0%       50%      50%      61.5        120           "
+            "mrp        2     0%       0%       50%      100%     4.5         6             "
             "3             0.25       0.375     0.125     1               1               \n"
-            'a,b "x"%   1     0%       0%       0%       100%     6           6             '
-            "6                                            2               2               \n"
+            'a,b "x"%   1     0%       0%       0%       100%     7           7             '
+            "7                                            2               2               \n"
             "b          1     0%       0%       0%       0%       7           NotConverged  "
             "NotConverged  3.5        3.5       3.5       20              20              \n",
             "algorithm,runs,conv%@1,conv%@2,conv%@4,conv%@7,steps_mean,steps_max,steps_min,"
             "nauc_mean,nauc_max,nauc_min,final_mean_deg,final_median_deg\n"
-            "so3,2,0,0,0,0,28.5,NotConverged,50,1.625,2.75,0.5,7.875,7.875\n"
+            "so3,2,0,50,50,50,4.5,NotConverged,2,1.625,2.75,0.5,7.875,7.875\n"
             "quat,2,,,,,,,,,,,,\n"
-            "mrp,2,0,0,50,50,61.5,120,3,0.25,0.375,0.125,1,1\n"
-            '"a,b ""x""%",1,0,0,0,100,6,6,6,,,,2,2\n'
+            "mrp,2,0,0,50,100,4.5,6,3,0.25,0.375,0.125,1,1\n"
+            '"a,b ""x""%",1,0,0,0,100,7,7,7,,,,2,2\n'
             "b,1,0,0,0,0,7,NotConverged,NotConverged,3.5,3.5,3.5,20,20\n",
         ),
     }
 
     @pytest.mark.parametrize("iters", [400, 7])
     def test_files_and_stdout_match_the_golden_bytes(self, tmp_path, capsys, iters):
-        (tmp_path / "summary.csv").write_bytes(self.SUMMARY.encode())
+        (tmp_path / "summary.csv").write_text(self.SUMMARY.format(*self.STEPS[iters]))
         assert run_cli("aggregate", "--summary", tmp_path / "summary.csv", "--iters", iters,
                        "--out", tmp_path / "out") == 0
         text, csv_text = self.EXPECTED[iters]
         assert (tmp_path / "out" / "aggregate.txt").read_bytes() == text.encode()
         assert (tmp_path / "out" / "aggregate.csv").read_bytes() == csv_text.encode()
         assert capsys.readouterr().out == text
+
+    def test_a_budget_below_the_steps_in_the_summary_is_a_usage_error(self, tmp_path, capsys):
+        # mrp converged at step 120, so3 at 50: a budget of 7 cannot hold them
+        (tmp_path / "summary.csv").write_text(self.SUMMARY.format(*self.STEPS[400]))
+        assert run_cli("aggregate", "--summary", tmp_path / "summary.csv", "--iters", 7,
+                       "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert "--iters 7" in err and "120" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestImportEval:

@@ -8,6 +8,9 @@ from conftest import (geodesic_distance, quat_from_axis_angle, random_matrices, 
                       random_unit_vectors)
 from rotavg import rotmath
 
+# a NaN from an unclipped arccos or a zero divisor fails the test it happens in
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
@@ -103,6 +106,16 @@ class TestExpLog:
         v = axes * angles[:, None]
         back = rotmath.log_so3(rotmath.exp_so3(v))
         assert np.max(np.linalg.norm(back - v, axis=-1)) < 1e-6
+
+    # the symmetric-part extraction takes over at pi - 1e-3, where it is the
+    # more accurate formula; at pi - 1e-7 and at pi the arccos of a rounded
+    # trace limits both
+    @pytest.mark.parametrize("gap, tol", [(1e-2, 5e-9), (1.01e-3, 5e-9), (1e-3, 5e-9),
+                                          (2e-4, 5e-9), (1.01e-4, 5e-9), (1e-5, 5e-9),
+                                          (1e-7, 1e-7), (0.0, 1e-7)])
+    def test_exp_log_roundtrip_near_pi(self, rng, gap, tol):
+        m = rotmath.exp_so3(random_unit_vectors(rng, 20_000) * (np.pi - gap))
+        assert np.max(np.abs(rotmath.exp_so3(rotmath.log_so3(m)) - m)) < tol
 
     def test_log_exact_half_turn_picks_the_positive_sign(self):
         # a half turn about (1, -1, 1)/sqrt(3) has an antisymmetric part of exactly 0,
